@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf2 import BitMat, BitVec, pair_weight_int
+from .gf2 import BitMat, BitVec, EchelonSet, pair_weight_int
 from .reductions import Decision, Oracle
 from .sampling import Instance, InstanceKind, Rng
 
@@ -229,10 +229,10 @@ def pair_aware_isd(
     for it in range(1, max_iters + 1):
         pairs = gen.permutation(n)[:npairs]
         picks = [int(j) for j in pairs] + [int(j) + n for j in pairs]
-        basis = _Echelon()
+        basis = EchelonSet()
         for i in picks:
             basis.add(mrows[i])
-        if basis.size() < k:
+        if len(basis) < k:
             chosen = set(picks)
             for i in gen.permutation(2 * n):
                 i = int(i)
@@ -240,9 +240,9 @@ def pair_aware_isd(
                     continue
                 if basis.add(mrows[i]):
                     picks.append(i)
-                    if basis.size() == k:
+                    if len(basis) == k:
                         break
-            if basis.size() < k:
+            if len(basis) < k:
                 continue  # the whole matrix is rank deficient
         rows = [mrows[i] for i in picks]
         rhs = [word.bit(i) for i in picks]
@@ -253,24 +253,6 @@ def pair_aware_isd(
         if _error_weight(instance.kind, e, instance.matrix.nrows) <= weight_threshold:
             return _finish(instance, x_val, start, it)
     return AttackResult(False, None, None, max_iters, time.perf_counter() - start)
-
-
-class _Echelon:
-    def __init__(self):
-        self.rows: list[int] = []
-
-    def add(self, v: int) -> bool:
-        for r in self.rows:
-            if v ^ r < v:
-                v ^= r
-        if v == 0:
-            return False
-        self.rows.append(v)
-        self.rows.sort(reverse=True)
-        return True
-
-    def size(self) -> int:
-        return len(self.rows)
 
 
 def min_distance(code: BitMat, pair_metric: bool = False) -> int:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .gf2 import BitVec
-from .harness import ExperimentSpec, run_experiment
+from .harness import ExperimentSpec, run_experiment, thread_count
 from .owf import OwfIndex, OwfInput, owf_eval, owf_gen, owf_sample, owf_verify_preimage
 from .pke import Ciphertext, PublicKey, SecretKey, dec, enc, gen, pick_p_for_success
 from .reductions import (
@@ -168,7 +167,7 @@ def _cmd_attack(args) -> int:
         }
     else:
         attack = prange_isd if args.algorithm == "prange" else pair_aware_isd
-        workers = max(1, args.threads)
+        workers = args.threads
         chunk = (args.max_iters + workers - 1) // workers
         if workers == 1:
             results = [attack(rng.split(0), inst, args.max_iters)]
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algorithm", choices=["prange", "pair-isd", "brute"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--threads", type=int, default=int(os.environ.get("SLPN_THREADS", "1")))
+    p.add_argument("--threads", default=None, help="worker count (default: SLPN_THREADS, else 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_attack)
@@ -290,7 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("attack", "experiment"):
+        # both may start threads: settle the count, or refuse, before any does
+        try:
+            args.threads = thread_count(getattr(args, "threads", None))
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.fn(args)
 
 

@@ -6,6 +6,24 @@ bit order of ``int``. Row XOR is a single integer op and inner products are
 popcounts, so all kernels here run on machine words.
 
 All values are immutable after construction and safe to share across threads.
+The incremental kernels (``EchelonSet`` and the dual basis made by
+``incremental_dual``) are mutable working state owned by one caller.
+
+The symplectic dual of a growing isotropic span is what ``sample_isotropic``
+and the seed expansion spend nearly all their time on: one ``restrict`` per
+accepted column and one ``combine`` per drawn column, each O(dim) row
+operations. Below 2n = 176 the basis is a list of ints and each step is a
+Python loop over rows; from 2n = 176 on it is a (words, dim) uint64 array and
+a step is a handful of whole-array numpy operations (an AND, an XOR-reduce
+over the words, a byte-table parity, one masked XOR and a short column move),
+in the word-packed style of the M4RI library. Both layouts run the same
+algorithm on the same basis order, so they consume randomness identically
+and return identical vectors. The cutoff is where the two cross in
+``sample_isotropic`` on a 2-core x86 host (Python 3.11, numpy 2.4): packed is
+13% slower at n=64, 4% slower at n=80 and 6% faster at n=88. At n=4 to 16 its
+fixed numpy cost per call makes it 2 to 2.5 times slower, which is why the
+int layout stays for the small sizes the reductions and the exact-law checks
+run at. At n=512 packed is 2.8 times faster.
 """
 from __future__ import annotations
 
@@ -24,6 +42,9 @@ __all__ = [
     "kernel_basis",
     "kernel_basis_info",
     "column_space_basis",
+    "xor_rows",
+    "EchelonSet",
+    "incremental_dual",
     "symp_inner",
     "symp_vec_mat",
     "symp_dual_basis",
@@ -542,6 +563,43 @@ def column_space_basis(m: BitMat) -> BitMat:
     return BitMat.from_cols([BitVec(m.nrows, red[r]) for r, _ in pivots], nrows=m.nrows)
 
 
+def xor_rows(rows: Sequence[int], sel: int) -> int:
+    """XOR of ``rows[j]`` over the set bits j of ``sel``."""
+    acc = 0
+    while sel:
+        j = (sel & -sel).bit_length() - 1
+        acc ^= rows[j]
+        sel &= sel - 1
+    return acc
+
+
+class EchelonSet:
+    """Growing span of int rows, kept in echelon form for membership tests.
+
+    Rows are kept with strictly decreasing high bits, so one pass in order
+    reduces any vector to zero exactly when it lies in the span.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: int) -> bool:
+        """Insert v; False (and no change) when v is already in the span."""
+        for r in self.rows:
+            if v ^ r < v:
+                v ^= r
+        if v == 0:
+            return False
+        self.rows.append(v)
+        self.rows.sort(reverse=True)
+        return True
+
+
 # -- symplectic structure --------------------------------------------------
 
 
@@ -564,6 +622,131 @@ def symp_dual_basis(s: BitMat) -> BitMat:
         s.ncols, 2 * n, [swap_halves(c.value, n) for c in s.cols()]
     )
     return kernel_basis(pairing)
+
+
+# -- incremental symplectic dual ---------------------------------------------
+
+# 2n from which incremental_dual keeps the basis word-packed in numpy; the
+# measurement behind it is in the module docstring.
+_PACKED_MIN_BITS = 176
+
+_PARITY8 = np.array([bin(i).count("1") & 1 for i in range(256)], dtype=bool)
+
+
+def _word_parity(x: np.ndarray) -> np.ndarray:
+    """Parity of each uint64 of a contiguous 1-d array, XOR-folded to a byte."""
+    for half in (np.uint32, np.uint16, np.uint8):
+        pairs = x.view(half).reshape(-1, 2)
+        x = pairs[:, 0] ^ pairs[:, 1]
+    return _PARITY8[x]
+
+
+class _IntDual:
+    """Basis of the symplectic dual of a growing span in Z_2^{2n}, as ints.
+
+    Starts from the unit vectors (the dual of the empty span). Invariant:
+    basis vector i has bit ``free[i]`` set and no other bit listed in
+    ``free``. The basis is then the canonical one that
+    ``supke._ordered_dual_vectors`` computes from scratch, whatever columns
+    spanned it, and a dual element's coefficients can be read off its free
+    bits.
+    """
+
+    __slots__ = ("n", "free", "rows")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.free = list(range(2 * n))
+        self.rows = [1 << i for i in range(2 * n)]
+
+    @property
+    def dim(self) -> int:
+        return len(self.free)
+
+    def restrict(self, v: int) -> bool:
+        """Shrink to the vectors symplectically orthogonal to v.
+
+        The first basis vector pairing to 1 with v is dropped and added to
+        every later one that does. Returns False, changing nothing, when v
+        pairs to 0 with the whole basis, i.e. when v lies in the span.
+        """
+        sv = swap_halves(v, self.n)
+        rows = self.rows
+        for j, witness in enumerate(rows):
+            if (witness & sv).bit_count() & 1:
+                break
+        else:
+            return False
+        rows[j:] = [r ^ witness if (r & sv).bit_count() & 1 else r for r in rows[j + 1 :]]
+        del self.free[j]
+        return True
+
+    def combine(self, coeffs: int) -> int:
+        """Sum of the basis vectors selected by the bits of coeffs."""
+        return xor_rows(self.rows, coeffs)
+
+    def basis(self) -> list[int]:
+        return list(self.rows)
+
+
+class _PackedDual:
+    """``_IntDual`` with the basis word-packed in a (words, dim) uint64 array.
+
+    Column s holds basis vector dim-1-s: restrict drops a vector near the
+    front of the order, which this layout turns into a short move at the
+    end of each word row.
+    """
+
+    __slots__ = ("n", "free", "words", "nbytes")
+
+    def __init__(self, n: int):
+        m = 2 * n
+        self.n = n
+        self.free = list(range(m))
+        self.nbytes = 8 * ((m + 63) // 64)
+        bit = np.arange(m - 1, -1, -1)
+        self.words = np.zeros((self.nbytes // 8, m), dtype=np.uint64)
+        self.words[bit // 64, np.arange(m)] = np.left_shift(
+            np.uint64(1), (bit % 64).astype(np.uint64)
+        )
+
+    dim = _IntDual.dim
+
+    def _pack(self, v: int) -> np.ndarray:
+        return np.frombuffer(v.to_bytes(self.nbytes, "little"), dtype="<u8")
+
+    def restrict(self, v: int) -> bool:
+        d = len(self.free)
+        words = self.words[:, :d]
+        sv = self._pack(swap_halves(v, self.n))
+        flags = _word_parity(np.bitwise_xor.reduce(words & sv[:, None], axis=0))
+        s = d - 1 - int(flags[::-1].argmax())
+        if not flags[s]:
+            return False
+        words ^= words[:, s, None] & -flags.astype(np.uint64)
+        words[:, s:-1] = words[:, s + 1 :]
+        del self.free[d - 1 - s]
+        return True
+
+    def combine(self, coeffs: int) -> int:
+        d = len(self.free)
+        raw = np.frombuffer(coeffs.to_bytes((d + 7) // 8, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=d, bitorder="little")[::-1]
+        acc = np.bitwise_xor.reduce(self.words[:, :d] & -bits.astype(np.uint64), axis=1)
+        return int.from_bytes(acc.astype("<u8").tobytes(), "little")
+
+    def basis(self) -> list[int]:
+        cols = self.words[:, : len(self.free)].astype("<u8")
+        return [int.from_bytes(cols[:, s].tobytes(), "little") for s in reversed(range(cols.shape[1]))]
+
+
+def incremental_dual(n: int) -> _IntDual | _PackedDual:
+    """Basis of all of Z_2^{2n}, to be restricted one span vector at a time.
+
+    Word-packed from 2n = _PACKED_MIN_BITS on, int rows below; both give the
+    same basis, in the same order, after the same restrictions.
+    """
+    return _PackedDual(n) if 2 * n >= _PACKED_MIN_BITS else _IntDual(n)
 
 
 def radical_basis(s: BitMat) -> BitMat:

@@ -30,6 +30,7 @@ __all__ = [
     "run_decryption_curve",
     "run_matched_isd_benchmark",
     "run_experiment",
+    "thread_count",
 ]
 
 MAX_OUTCOME_SPACE = 1 << 16
@@ -172,17 +173,27 @@ class ExperimentSpec:
         }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SLPN_THREADS", "1")
+def thread_count(raw: Optional[str] = None) -> int:
+    """Worker count from ``raw`` (a ``--threads`` value) or else SLPN_THREADS.
+
+    Unset means 1. Anything but an integer >= 1 raises ValueError naming
+    where the value came from.
+    """
+    source = "--threads"
+    if raw is None:
+        source, raw = "SLPN_THREADS", os.environ.get("SLPN_THREADS", "1")
     try:
-        return max(1, int(raw))
+        value = int(raw)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {raw!r}")
+    return value
 
 
 def _run_grid(spec: ExperimentSpec, point_fn) -> list[dict]:
     rng = Rng(spec.seed)
-    workers = _thread_count()
+    workers = thread_count()
     jobs = [(i, point, rng.split(i)) for i, point in enumerate(spec.grid)]
     if workers == 1:
         results = [point_fn(point, child) for _, point, child in jobs]

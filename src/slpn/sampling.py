@@ -14,7 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from .gf2 import BitMat, BitVec, SympVec, is_isotropic, swap_halves
+from .gf2 import (
+    BitMat,
+    BitVec,
+    EchelonSet,
+    SympVec,
+    incremental_dual,
+    is_isotropic,
+    swap_halves,
+)
 
 __all__ = [
     "Rng",
@@ -104,62 +112,6 @@ def sample_bernoulli(rng: Rng, n: int, p: float) -> BitVec:
     return BitVec.from_numpy((gen.random(n) < p).astype(np.uint8))
 
 
-class _EchelonSet:
-    """Mutable echelon form for span-membership tests over int rows."""
-
-    def __init__(self):
-        self.rows: list[int] = []  # kept with strictly decreasing high bits
-
-    def reduce(self, v: int) -> int:
-        for r in self.rows:
-            if v ^ r < v:
-                v ^= r
-        return v
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def add(self, v: int) -> bool:
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        self.rows.append(v)
-        self.rows.sort(reverse=True)
-        return True
-
-
-class _DualBasis:
-    """Incrementally maintained basis of the symplectic dual of a growing span."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[int] = [1 << i for i in range(2 * n)]
-
-    def restrict(self, v: int) -> None:
-        """Shrink to the vectors symplectically orthogonal to v."""
-        sv = swap_halves(v, self.n)
-        flags = [(r & sv).bit_count() & 1 for r in self.rows]
-        try:
-            j = flags.index(1)
-        except ValueError:
-            return
-        witness = self.rows[j]
-        self.rows = [
-            r ^ witness if f and i != j else r
-            for i, (r, f) in enumerate(zip(self.rows, flags))
-            if i != j
-        ]
-
-    def random_element(self, rng: Rng) -> int:
-        coeffs = rng.bits(len(self.rows)).value
-        v = 0
-        while coeffs:
-            j = (coeffs & -coeffs).bit_length() - 1
-            v ^= self.rows[j]
-            coeffs &= coeffs - 1
-        return v
-
-
 def sample_isotropic(rng: Rng, n: int, k: int) -> BitMat:
     """Uniform 2n x k full-column-rank matrix with symplectically orthogonal columns.
 
@@ -168,15 +120,14 @@ def sample_isotropic(rng: Rng, n: int, k: int) -> BitMat:
     """
     if k > n:
         raise ValueError("an isotropic subspace of Z_2^{2n} has dimension at most n")
-    dual = _DualBasis(n)
-    span = _EchelonSet()
+    dual = incremental_dual(n)
     cols = []
     while len(cols) < k:
-        v = dual.random_element(rng)
-        if not span.add(v):
-            continue
-        cols.append(BitVec(2 * n, v))
-        dual.restrict(v)
+        v = dual.combine(rng.bits(dual.dim).value)
+        # the span is the dual of the dual: v lies in it exactly when it
+        # pairs to 0 with every dual vector, and restrict then refuses it
+        if dual.restrict(v):
+            cols.append(BitVec(2 * n, v))
     return BitMat.from_cols(cols, nrows=2 * n)
 
 
@@ -192,14 +143,14 @@ def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:
     if k > n:
         raise ValueError("joint rank n + k cannot exceed 2n")
     a = sample_isotropic(rng, n, n)
-    joint = _EchelonSet()
+    joint = EchelonSet()
     for col in a.cols():
         joint.add(col.value)
-    b_dual = _DualBasis(n)
+    b_dual = incremental_dual(n)
     b_cols: list[BitVec] = []
     attempts = 0
     while len(b_cols) < k:
-        v = b_dual.random_element(rng)
+        v = b_dual.combine(rng.bits(b_dual.dim).value)
         if not joint.add(v):
             attempts += 1
             if attempts > 64 * (n + k):

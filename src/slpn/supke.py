@@ -9,11 +9,22 @@ bitstring.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from . import diagnostics
-from .gf2 import BitMat, BitVec, IsotropicCode, SympVec, is_isotropic, rank, swap_halves
+from .gf2 import (
+    BitMat,
+    BitVec,
+    IsotropicCode,
+    SympVec,
+    incremental_dual,
+    is_isotropic,
+    rank,
+    swap_halves,
+    xor_rows,
+)
 from .gf2 import _kernel_ints
 from .pke import Ciphertext, PublicKey, SecretKey, dec as _pke_dec, enc_traced as _pke_enc_traced
 from .sampling import Rng, sample_depolarizing
@@ -62,67 +73,6 @@ def _ordered_dual_vectors(cols: list[int], n: int) -> tuple[list[int], tuple[int
     return _kernel_ints(pairing, 2 * n)
 
 
-class _CanonicalDual:
-    """The canonical dual basis, maintained incrementally.
-
-    Invariant: ``vecs[i]`` has bit ``free[i]`` set and no other free bits, so
-    the basis equals the one `_ordered_dual_vectors` computes from scratch.
-    Restricting by a new column v reduces v's pairing row against the current
-    solution basis; its support lands exactly on the free columns, and
-    eliminating the lowest supported free column keeps the form canonical.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.vecs = [1 << i for i in range(2 * n)]
-        self.free = list(range(2 * n))
-
-    def restrict(self, v: int) -> None:
-        sv = swap_halves(v, self.n)
-        flags = [(vec & sv).bit_count() & 1 for vec in self.vecs]
-        try:
-            j = flags.index(1)
-        except ValueError:
-            return  # v already orthogonal to the whole dual
-        witness = self.vecs[j]
-        self.vecs = [
-            vec ^ witness if f and i != j else vec
-            for i, (vec, f) in enumerate(zip(self.vecs, flags))
-            if i != j
-        ]
-        del self.free[j]
-
-    def coefficients(self, w: int) -> int:
-        coeffs = 0
-        for i, f in enumerate(self.free):
-            coeffs |= ((w >> f) & 1) << i
-        return coeffs
-
-
-def _combine(vectors: list[int], coeffs: int) -> int:
-    v = 0
-    while coeffs:
-        j = (coeffs & -coeffs).bit_length() - 1
-        v ^= vectors[j]
-        coeffs &= coeffs - 1
-    return v
-
-
-class _SpanTracker:
-    def __init__(self):
-        self.rows: list[int] = []
-
-    def add_if_independent(self, v: int) -> bool:
-        for r in self.rows:
-            if v ^ r < v:
-                v ^= r
-        if v == 0:
-            return False
-        self.rows.append(v)
-        self.rows.sort(reverse=True)
-        return True
-
-
 def expand(seed: Seed) -> BitMat:
     """Deterministically expand a seed into a 2n x n isotropic matrix.
 
@@ -135,18 +85,17 @@ def expand(seed: Seed) -> BitMat:
     n = seed.n
     bits = seed.bits.value
     pos = 0
-    tracker = _SpanTracker()
     real: list[int] = []
-    dual = _CanonicalDual(n)
+    dual = incremental_dual(n)
     for _ in range(2 * n):
-        d = len(dual.vecs)
-        coeffs = (bits >> pos) & ((1 << d) - 1)
+        d = dual.dim
+        w = dual.combine((bits >> pos) & ((1 << d) - 1))
         pos += d
-        w = _combine(dual.vecs, coeffs)
-        if len(real) < n and tracker.add_if_independent(w):
+        # restrict refuses w exactly when it lies in the span of real
+        if len(real) < n and dual.restrict(w):
             real.append(w)
-            dual.restrict(w)
-    assert pos <= 4 * n * n, "dual dimensions exceeded the seed budget"
+    if pos > 4 * n * n:
+        raise RuntimeError("dual dimensions exceeded the seed budget")
     if len(real) < n:
         diagnostics.bump("supke.expand_zero_pad")
         real.extend([0] * (n - len(real)))
@@ -172,19 +121,20 @@ def invert(rng: Rng, a: BitMat) -> Seed:
     while True:
         prefix: list[tuple[int, int]] = []  # (coeffs, width) per step
         real: list[int] = []
-        dual = _CanonicalDual(n)
+        dual = incremental_dual(n)
         for _ in range(2 * n):
-            d = len(dual.vecs)
             r = len(real)
             took_real = r < n and rng.random() >= 4.0 ** (r - n)
             if took_real:
                 w = a_cols[r]
             else:
-                w = _combine(real, rng.bits(r).value) if r else 0
-            coeffs = dual.coefficients(w)
-            if _combine(dual.vecs, coeffs) != w:
+                w = xor_rows(real, rng.bits(r).value) if r else 0
+            coeffs = 0
+            for i, f in enumerate(dual.free):
+                coeffs |= ((w >> f) & 1) << i
+            if dual.combine(coeffs) != w:
                 raise RuntimeError("column is outside the dual basis")
-            prefix.append((coeffs, d))
+            prefix.append((coeffs, dual.dim))
             if took_real:
                 real.append(w)
                 dual.restrict(w)
@@ -212,6 +162,14 @@ class SuPublicKey:
 
     def bit_length(self) -> int:
         return self.seed.bits.nbits + self.b.nbits
+
+    @functools.cached_property
+    def _plain_key(self) -> PublicKey:
+        """The expanded plain key, built on first use and kept on the instance.
+
+        Not a field, so equality, hashing and ``to_json`` ignore it.
+        """
+        return PublicKey(self.n, self.p, IsotropicCode.trusted(expand(self.seed)), self.b)
 
     def to_json(self) -> dict:
         return {
@@ -247,10 +205,6 @@ def su_gen_traced(rng: Rng, n: int, p: float) -> tuple[SuPublicKey, SecretKey, S
     return SuPublicKey(n, p, seed, b), SecretKey(n, x), e
 
 
-def _as_plain_key(pk: SuPublicKey) -> PublicKey:
-    return PublicKey(pk.n, pk.p, IsotropicCode.trusted(expand(pk.seed)), pk.b)
-
-
 def su_enc(rng: Rng, pk: SuPublicKey, mu: int, p: float | None = None) -> Ciphertext:
     ct, _ = su_enc_traced(rng, pk, mu, p)
     return ct
@@ -259,8 +213,11 @@ def su_enc(rng: Rng, pk: SuPublicKey, mu: int, p: float | None = None) -> Cipher
 def su_enc_traced(
     rng: Rng, pk: SuPublicKey, mu: int, p: float | None = None
 ) -> tuple[Ciphertext, SympVec]:
-    """Expand the seed, then encrypt exactly as with a plain public key."""
-    return _pke_enc_traced(rng, _as_plain_key(pk), mu, p)
+    """Encrypt exactly as with the plain public key the seed expands to.
+
+    The seed is expanded on a key's first encryption only.
+    """
+    return _pke_enc_traced(rng, pk._plain_key, mu, p)
 
 
 def su_dec(sk: SecretKey, ct: Ciphertext) -> int:

@@ -7,8 +7,8 @@ success, invert is uniform over expand-preimages.
 """
 from fractions import Fraction
 
-from slpn.gf2 import BitMat
-from slpn.supke import Seed, _combine, _ordered_dual_vectors, expand
+from slpn.gf2 import BitMat, xor_rows
+from slpn.supke import Seed, _ordered_dual_vectors, expand
 
 
 def invert_raw_probability(seed: Seed, target: BitMat) -> Fraction | None:
@@ -26,7 +26,7 @@ def invert_raw_probability(seed: Seed, target: BitMat) -> Fraction | None:
         d = len(dual)
         coeffs = (bits >> pos) & ((1 << d) - 1)
         pos += d
-        w = _combine(dual, coeffs)
+        w = xor_rows(dual, coeffs)
         r = len(real)
         independent = _is_independent(real, w)
         if independent and r < n:

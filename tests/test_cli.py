@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 import json
 
+import pytest
+
 from slpn.cli import main
 from slpn.sampling import Instance
 
@@ -136,3 +138,55 @@ def test_experiment_cli(tmp_path, capsys):
     spec["grid"] = [{"n": 16, "p": 0.3}]
     spec_file.write_text(json.dumps(spec))
     assert run(["experiment", "--spec", str(spec_file)]) == 1
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
+def test_bad_thread_env_spares_commands_without_threads(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SLPN_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["keygen", "--help"])
+    assert exc.value.code == 0
+    assert run(["keygen", "--n", "8", "--p", "0.01", "--seed", "1",
+                "--pk", str(tmp_path / "pk.json"), "--sk", str(tmp_path / "sk.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "env, flag, source",
+    [("abc", None, "SLPN_THREADS"), ("0", None, "SLPN_THREADS"),
+     ("1", "0", "--threads"), (None, "two", "--threads")],
+)
+def test_bad_thread_count_rejected_before_any_thread(tmp_path, monkeypatch, capsys, env, flag, source):
+    import slpn.cli
+    import slpn.harness
+
+    monkeypatch.setattr(slpn.cli, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr(slpn.harness, "ThreadPoolExecutor", _no_pool)
+    if env is None:
+        monkeypatch.delenv("SLPN_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SLPN_THREADS", env)
+    inst_file = tmp_path / "inst.json"
+    run(["sample", "--kind", "lpn", "--n", "16", "--k", "4", "--p", "0.05",
+         "--structured", "--seed", "10", "--out", str(inst_file)])
+    argv = ["attack", "prange", "--in", str(inst_file), "--max-iters", "50"]
+    if flag is not None:
+        argv += ["--threads", flag]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert source in err and "integer >= 1" in err
+    if flag is None:
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "name": "decryption_curve", "grid": [{"n": 8, "p": 0.01}], "trials": 10,
+            "seed": 1, "out": str(tmp_path / "c.csv"), "options": {},
+        }))
+        with pytest.raises(SystemExit) as exc:
+            run(["experiment", "--spec", str(spec_file)])
+        assert exc.value.code == 2
+        assert source in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()

@@ -11,11 +11,16 @@ from naive_gf2 import (
     naive_symp_inner,
 )
 from slpn.gf2 import (
+    _PACKED_MIN_BITS,
     BitMat,
     BitVec,
+    EchelonSet,
     IsotropicCode,
     SympVec,
+    _IntDual,
+    _PackedDual,
     column_space_basis,
+    incremental_dual,
     is_isotropic,
     kernel_basis,
     pair_weight_int,
@@ -29,6 +34,7 @@ from slpn.gf2 import (
     symp_inner,
     symp_vec_mat,
     symplectic_subspace_basis,
+    xor_rows,
 )
 
 
@@ -455,3 +461,67 @@ def test_isotropic_code_checked_rejects_bad_input():
         IsotropicCode.checked(BitMat.from_cols([e_basis(2, 1), e_basis(2, 1)]))
     good = IsotropicCode.checked(BitMat.from_cols([e_basis(2, 1), e_basis(2, 2)]))
     assert good.n == 2 and good.k == 2
+
+
+# -- incremental kernels -----------------------------------------------------
+
+
+def test_xor_rows_matches_loop():
+    rng = np.random.default_rng(21)
+    rows = [int(x) for x in rng.integers(0, 2**62, size=40)]
+    for _ in range(50):
+        sel = int(rng.integers(0, 2**40))
+        want = 0
+        for j in range(40):
+            if sel >> j & 1:
+                want ^= rows[j]
+        assert xor_rows(rows, sel) == want
+    assert xor_rows([], 0) == 0
+
+
+def test_echelon_set_tracks_rank():
+    rng = np.random.default_rng(22)
+    for ncols in (1, 5, 70):
+        span = EchelonSet()
+        added = []
+        for _ in range(2 * ncols):
+            v = int.from_bytes(rng.bytes(9), "little") & ((1 << ncols) - 1)
+            if rng.random() < 0.3 and added:
+                v = added[0] ^ added[-1]  # a vector already in the span
+            grew = span.add(v)
+            mat = BitMat.from_rows([BitVec(ncols, a) for a in added + [v]], ncols)
+            assert grew == (rank(mat) == len(added) + 1)
+            if grew:
+                added.append(v)
+            assert len(span) == len(added)
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 64, 100])
+def test_dual_layouts_agree(n):
+    # same restrict/combine sequence on both layouts, including vectors
+    # outside the dual, in the span, and zero
+    rng = np.random.default_rng(23 + n)
+    small, packed = _IntDual(n), _PackedDual(n)
+    for step in range(3 * n):
+        d = small.dim
+        assert packed.dim == d
+        if d == 0:
+            break
+        coeffs = int.from_bytes(rng.bytes((d + 7) // 8), "little") & ((1 << d) - 1)
+        v = small.combine(coeffs)
+        assert packed.combine(coeffs) == v
+        assert small.combine(0) == packed.combine(0) == 0
+        kind = step % 4
+        if kind == 1:
+            v = int.from_bytes(rng.bytes((2 * n + 7) // 8), "little") & ((1 << 2 * n) - 1)
+        elif kind == 2:
+            v = 0
+        assert small.restrict(v) == packed.restrict(v)
+        assert small.basis() == packed.basis()
+        assert small.free == packed.free
+
+
+def test_incremental_dual_picks_layout_by_size():
+    below = _PACKED_MIN_BITS // 2 - 1
+    assert type(incremental_dual(below)) is _IntDual
+    assert type(incremental_dual(below + 1)) is _PackedDual

@@ -13,6 +13,7 @@ from slpn.harness import (
     run_decryption_curve,
     run_experiment,
     run_matched_isd_benchmark,
+    thread_count,
     wilson_interval,
 )
 from slpn.sampling import Rng, gen_symplpn
@@ -251,3 +252,34 @@ def test_run_experiment_dispatch_and_assertions(tmp_path):
     )
     with pytest.raises(ValueError):
         run_experiment(bad)
+
+
+def test_thread_count_parsing(monkeypatch):
+    monkeypatch.delenv("SLPN_THREADS", raising=False)
+    assert thread_count() == 1
+    monkeypatch.setenv("SLPN_THREADS", "3")
+    assert thread_count() == 3
+    assert thread_count("2") == 2
+    for bad in ("abc", "0", "-1", "1.5", ""):
+        monkeypatch.setenv("SLPN_THREADS", bad)
+        with pytest.raises(ValueError, match="SLPN_THREADS must be an integer >= 1"):
+            thread_count()
+        with pytest.raises(ValueError, match="--threads must be an integer >= 1"):
+            thread_count(bad)
+
+
+def test_bad_thread_env_fails_before_any_thread(tmp_path, monkeypatch):
+    import slpn.harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(slpn.harness, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("SLPN_THREADS", "abc")
+    spec = ExperimentSpec(
+        name="decryption_curve", grid=({"n": 8, "p": 0.01},), trials=10, seed=1,
+        out=str(tmp_path / "c.csv"), options={},
+    )
+    with pytest.raises(ValueError, match="SLPN_THREADS"):
+        run_decryption_curve(spec)
+    assert not (tmp_path / "c.csv").exists()

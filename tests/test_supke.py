@@ -2,8 +2,17 @@
 import pytest
 from scipy.stats import chisquare
 
-from slpn import diagnostics
-from slpn.gf2 import BitMat, BitVec, is_isotropic, rank, symp_inner
+from slpn import diagnostics, supke
+from slpn.gf2 import (
+    BitMat,
+    BitVec,
+    _IntDual,
+    _PackedDual,
+    incremental_dual,
+    is_isotropic,
+    rank,
+    symp_inner,
+)
 from slpn.pke import PublicKey, enc_traced, pick_p_for_success, predict_success
 from slpn.sampling import Rng, sample_isotropic
 from slpn.supke import (
@@ -17,25 +26,29 @@ from slpn.supke import (
     su_gen,
     su_gen_traced,
 )
+from slpn.supke import _ordered_dual_vectors
 from supke_exhaustive import invert_raw_probability
 
 
 def test_incremental_dual_matches_from_scratch():
-    # the incremental canonical dual must equal the one recomputed per step
-    from slpn.supke import _CanonicalDual, _ordered_dual_vectors
-
-    rng = Rng(99)
-    for n in (2, 3, 5, 8):
-        cols = []
-        inc = _CanonicalDual(n)
-        mat = sample_isotropic(rng, n, n)
-        for j in range(n):
-            v = mat.col(j).value
-            cols.append(v)
-            inc.restrict(v)
-            vecs, free = _ordered_dual_vectors(cols, n)
-            assert inc.vecs == vecs
-            assert tuple(inc.free) == free
+    # the incremental canonical dual must equal the one recomputed per step,
+    # in both layouts and on both sides of the size cutoff; 2n = 66 and 200
+    # leave the last packed word partly used
+    for layout in (_IntDual, _PackedDual, incremental_dual):
+        for n in (2, 3, 5, 8, 33, 88, 100):
+            rng = Rng(99)
+            cols = []
+            inc = layout(n)
+            mat = sample_isotropic(rng, n, n)
+            for j in range(n):
+                v = mat.col(j).value
+                cols.append(v)
+                assert inc.restrict(v)
+                assert not inc.restrict(v)  # now in the span: refused, no change
+                vecs, free = _ordered_dual_vectors(cols, n)
+                assert inc.basis() == vecs
+                assert tuple(inc.free) == free
+                assert inc.dim == len(vecs)
 
 
 def test_seed_length_validation():
@@ -193,6 +206,28 @@ def test_su_enc_equals_plain_enc_given_expanded_matrix():
     ct_plain, f_plain = enc_traced(Rng(777), plain, 1)
     assert f_su.v == f_plain.v
     assert ct_su == ct_plain
+
+
+def test_su_enc_expands_seed_once(monkeypatch):
+    pk, _ = su_gen(Rng(14), 16, 0.05)
+    from slpn.gf2 import IsotropicCode
+
+    plain = PublicKey(pk.n, pk.p, IsotropicCode.trusted(expand(pk.seed)), pk.b)
+    calls = []
+
+    def counting_expand(seed):
+        calls.append(seed)
+        return expand(seed)
+
+    monkeypatch.setattr(supke, "expand", counting_expand)
+    rng_su, rng_plain = Rng(778), Rng(778)
+    for i in range(40):
+        assert su_enc_traced(rng_su, pk, i & 1) == enc_traced(rng_plain, plain, i & 1)
+    assert len(calls) == 1
+    # the cached expansion is not part of the key's identity or encoding
+    again = SuPublicKey.from_json(pk.to_json())
+    assert again == pk and hash(again) == hash(pk)
+    assert pk.to_json() == again.to_json()
 
 
 def test_su_dec_identity():
