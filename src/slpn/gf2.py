@@ -24,10 +24,31 @@ and return identical vectors. The cutoff is where the two cross in
 fixed numpy cost per call makes it 2 to 2.5 times slower, which is why the
 int layout stays for the small sizes the reductions and the exact-law checks
 run at. At n=512 packed is 2.8 times faster.
+
+Information-set decoding solves the same system [M | b] on many row subsets.
+``solve_full_rank_batch`` takes the rows of [M | b] packed once into uint64
+words and a (systems, m) array of row indices, and runs Gauss-Jordan on all
+systems together, so the Python-level work is a dozen numpy operations per
+column rather than a loop over rows per system. A subset counts only at full
+column rank, where its solution is unique, so no pivot order can change the
+result. ``attacks.prange_isd`` draws its information sets in the same order
+as a one-at-a-time loop, takes the first success in that order, and rewinds
+the Rng to just after the winner's draw, so results, iteration counts and
+the stream are unchanged. It solves 32 sets per call. On a 2-core x86 host
+(Python 3.11, numpy 2.4), two sweeps over 8, 16, 32 and 64 sets per call
+gave a median prange time per iteration of 0.28-0.30, 0.18-0.20, 0.17 and
+0.15-0.18 ms at n=64, and 0.64-0.68, 0.46-0.47, 0.32-0.33 and 0.63-0.67 ms
+at n=128. Smaller calls pay numpy's fixed cost per column more often;
+larger ones solve more sets past the winning iteration. One set alone costs
+more this way than a Python-int elimination (1.4 against 0.75 ms at k=64),
+so ``attacks.pair_aware_isd``, whose rank check must finish before its next
+draw, solves through an augmented ``EchelonSet`` instead: the set it already
+builds for the rank check carries the right-hand side along.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,6 +63,8 @@ __all__ = [
     "kernel_basis",
     "kernel_basis_info",
     "column_space_basis",
+    "pack_rows",
+    "solve_full_rank_batch",
     "xor_rows",
     "EchelonSet",
     "incremental_dual",
@@ -522,6 +545,54 @@ def solve(m: BitMat, b: BitVec) -> Optional[BitVec]:
     return BitVec(m.ncols, x)
 
 
+def pack_rows(rows: Sequence[int], nbits: int) -> np.ndarray:
+    """Int rows of at most nbits bits as a (rows, words) uint64 array,
+    bit i of a row at word i // 64, position i mod 64."""
+    nbytes = 8 * ((nbits + 63) // 64)
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), nbytes // 8).astype(np.uint64)
+
+
+def solve_full_rank_batch(rows: np.ndarray, picks: np.ndarray, ncols: int) -> list[Optional[int]]:
+    """Solve many row subsets of one augmented system [M | b] at once.
+
+    ``rows`` is ``pack_rows`` of the rows of [M | b]: bits below ncols hold
+    M, bit ncols holds b. Row i of the (systems, m) index array ``picks``
+    selects the rows of system i. Entry i of the result is the packed x with
+    M x = b on those rows if they have full column rank and agree, else None.
+    Full column rank makes x unique, so the pivot order cannot change it.
+
+    Gauss-Jordan runs on all systems together: per column, one argmax picks
+    each system's pivot among its rows not yet used as pivots, and one masked
+    XOR clears the column from every other row. An all-zero row never
+    becomes a pivot and always agrees, so it pads short subsets.
+    """
+    nsys, m = picks.shape
+    if m < ncols:
+        return [None] * nsys
+    # word-major and flat, (words, systems * m) with row r of system i at
+    # column i * m + r: each column test and masked XOR runs over contiguous
+    # planes, and each pivot is one flat index
+    aug = np.ascontiguousarray(rows.T)[:, picks].reshape(rows.shape[1], nsys * m)
+    first_row = np.arange(nsys) * m
+    ok = np.ones(nsys, dtype=bool)
+    unused = np.ones(nsys * m, dtype=bool)
+    pivots = np.empty((ncols, nsys), dtype=np.intp)
+    for c in range(ncols):
+        hit = (aug[c >> 6] & np.uint64(1 << (c & 63))) != 0
+        cand = hit & unused
+        p = cand.reshape(nsys, m).argmax(axis=1) + first_row
+        ok &= cand[p]
+        unused[p] = False
+        pivots[c] = p
+        hit[p] = False
+        aug ^= aug[:, p].repeat(m, axis=1) & -hit.astype(np.uint64)
+    rhs = (aug[ncols >> 6] & np.uint64(1 << (ncols & 63))) != 0
+    ok &= ~(rhs & unused).reshape(nsys, m).any(axis=1)
+    x = np.packbits(rhs[pivots.T], axis=1, bitorder="little")
+    return [int.from_bytes(x[i].tobytes(), "little") if ok[i] else None for i in range(nsys)]
+
+
 def _kernel_ints(rows: list[int], ncols: int) -> tuple[list[int], tuple[int, ...]]:
     """Kernel basis vectors (as ints) plus the free columns indexing them."""
     red, pivots = _rref(rows, ncols)
@@ -578,12 +649,17 @@ class EchelonSet:
 
     Rows are kept with strictly decreasing high bits, so one pass in order
     reduces any vector to zero exactly when it lies in the span.
+
+    An ``augmented`` set holds equations m . x = b, each as (m << 1) | b.
+    Membership and rank then look at m alone, b rides along through every
+    reduction, and ``solve`` reads off an x that meets all of them.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_rhs_bits")
 
-    def __init__(self):
+    def __init__(self, augmented: bool = False):
         self.rows: list[int] = []
+        self._rhs_bits = int(augmented)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -593,11 +669,22 @@ class EchelonSet:
         for r in self.rows:
             if v ^ r < v:
                 v ^= r
-        if v == 0:
+        if v >> self._rhs_bits == 0:
             return False
         self.rows.append(v)
         self.rows.sort(reverse=True)
         return True
+
+    def solve(self) -> int:
+        """For an augmented set: the x meeting every equation added, with
+        the columns that lead no row set to zero (unique at full rank)."""
+        if not self._rhs_bits:
+            raise ValueError("solve needs an augmented set")
+        x = 0
+        for r in reversed(self.rows):  # lowest leading column first
+            m = r >> 1
+            x |= (((m & x).bit_count() ^ r) & 1) << (m.bit_length() - 1)
+        return x
 
 
 # -- symplectic structure --------------------------------------------------
@@ -685,6 +772,15 @@ class _IntDual:
         """Sum of the basis vectors selected by the bits of coeffs."""
         return xor_rows(self.rows, coeffs)
 
+    def coefficients(self, v: int) -> int:
+        """The coeffs with ``combine(coeffs) == v`` for a v in the span: the
+        bits of v at the free columns, gathered from its binary string in C
+        rather than one shift per column."""
+        if not self.free:
+            return 0
+        bits = format(v, f"0{2 * self.n}b")[::-1]
+        return int("0" + "".join(itemgetter(*self.free)(bits))[::-1], 2)
+
     def basis(self) -> list[int]:
         return list(self.rows)
 
@@ -711,6 +807,7 @@ class _PackedDual:
         )
 
     dim = _IntDual.dim
+    coefficients = _IntDual.coefficients
 
     def _pack(self, v: int) -> np.ndarray:
         return np.frombuffer(v.to_bytes(self.nbytes, "little"), dtype="<u8")

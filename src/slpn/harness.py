@@ -26,6 +26,7 @@ __all__ = [
     "wilson_interval",
     "empirical_tv",
     "chi_square_stat",
+    "advantage_interval",
     "advantage",
     "run_decryption_curve",
     "run_matched_isd_benchmark",
@@ -69,6 +70,18 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     center = (phat + z2 / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def advantage_interval(
+    say_s: int, trials_s: int, say_u: int, trials_u: int
+) -> tuple[float, float, float]:
+    """|p_s - p_u| with the estimate minus and plus the mean width of the two
+    arms' Wilson intervals, clamped to [0, 1]."""
+    lo_s, hi_s = wilson_interval(say_s, trials_s)
+    lo_u, hi_u = wilson_interval(say_u, trials_u)
+    est = abs(say_s / trials_s - say_u / trials_u)
+    slack = (hi_s - lo_s + hi_u - lo_u) / 2.0
+    return est, max(0.0, est - slack), min(1.0, est + slack)
 
 
 def _normalize(dist) -> dict:
@@ -125,12 +138,8 @@ def advantage(
     say_u = sum(
         oracle(gen_unstructured(rng)) is Decision.STRUCTURED for _ in range(trials)
     )
-    p_s, p_u = say_s / trials, say_u / trials
-    lo_s, hi_s = wilson_interval(say_s, trials)
-    lo_u, hi_u = wilson_interval(say_u, trials)
-    est = abs(p_s - p_u)
-    half = (hi_s - lo_s + hi_u - lo_u) / 2.0
-    return StatSummary(est, max(0.0, est - half), min(1.0, est + half), 2 * trials)
+    est, lo, hi = advantage_interval(say_s, trials, say_u, trials)
+    return StatSummary(est, lo, hi, 2 * trials)
 
 
 # -- experiment drivers ------------------------------------------------------

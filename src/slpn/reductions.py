@@ -24,7 +24,7 @@ from .gf2 import (
     symp_dual_basis,
     symp_vec_mat,
 )
-from .harness import wilson_interval
+from .harness import advantage_interval, wilson_interval
 from .sampling import (
     HyperplaneRotation,
     Instance,
@@ -375,18 +375,14 @@ def measure_drop_bit(
         counts[structured][0] += 1
         counts[structured][1] += verdict is Decision.STRUCTURED
     (ts, ss), (tu, su) = counts[True], counts[False]
-    p_s, p_u = ss / ts, su / tu
-    lo_s, hi_s = wilson_interval(ss, ts)
-    lo_u, hi_u = wilson_interval(su, tu)
-    adv = abs(p_s - p_u)
-    slack = (hi_s - lo_s + hi_u - lo_u) / 2.0
+    adv, lo, hi = advantage_interval(ss, ts, su, tu)
     correct = ss + (tu - su)
     return ReductionReport(
         trials,
         correct,
         adv,
-        max(0.0, adv - slack),
-        min(1.0, adv + slack),
+        lo,
+        hi,
         branch,
-        {"p_structured": p_s, "p_unstructured": p_u},
+        {"p_structured": ss / ts, "p_unstructured": su / tu},
     )

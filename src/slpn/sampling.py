@@ -21,6 +21,7 @@ from .gf2 import (
     SympVec,
     incremental_dual,
     is_isotropic,
+    rank,
     swap_halves,
 )
 
@@ -230,19 +231,30 @@ class Instance:
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
         kind = InstanceKind(obj["kind"])
+        k, n = int(obj["k"]), int(obj["n"])
         matrix = BitMat.from_json(obj["matrix"])
         word = BitVec.from_json(obj["word"])
+        shape = {
+            InstanceKind.LPN: (n, k),
+            InstanceKind.SYMPLPN: (2 * n, k),
+            InstanceKind.LSN: (2 * n, n + k),
+        }[kind]
+        if (matrix.nrows, matrix.ncols) != shape:
+            raise ValueError(
+                f"{kind.value} matrix is {matrix.nrows}x{matrix.ncols}, "
+                f"expected {shape[0]}x{shape[1]} for k={k}, n={n}"
+            )
         if word.nbits != matrix.nrows:
             raise ValueError("word length does not match matrix rows")
-        if kind in (InstanceKind.SYMPLPN, InstanceKind.LSN):
-            if kind is InstanceKind.SYMPLPN and not is_isotropic(matrix):
-                raise ValueError("matrix is not isotropic")
-            if kind is InstanceKind.LSN:
-                n = int(obj["n"])
-                if not is_isotropic(matrix.take_cols(range(n))):
-                    raise ValueError("a-part is not isotropic")
-                if not is_isotropic(matrix.take_cols(range(n, matrix.ncols))):
-                    raise ValueError("b-part is not isotropic")
+        if kind is InstanceKind.SYMPLPN and not is_isotropic(matrix):
+            raise ValueError("matrix is not isotropic")
+        if kind is InstanceKind.LSN:
+            if not is_isotropic(matrix.take_cols(range(n))):
+                raise ValueError("a-part is not isotropic")
+            if not is_isotropic(matrix.take_cols(range(n, n + k))):
+                raise ValueError("b-part is not isotropic")
+            if rank(matrix) != n + k:
+                raise ValueError("[a | b] does not have rank n + k")
         witness = None
         if "witness" in obj:
             w = obj["witness"]
@@ -251,7 +263,7 @@ class Instance:
                 secret=BitVec.from_json(w["secret"]) if "secret" in w else None,
                 error=BitVec.from_json(w["error"]) if "error" in w else None,
             )
-        return cls(kind, matrix, word, int(obj["k"]), int(obj["n"]), float(obj["p"]), witness)
+        return cls(kind, matrix, word, k, n, float(obj["p"]), witness)
 
 
 def gen_symplpn(

@@ -129,9 +129,7 @@ def invert(rng: Rng, a: BitMat) -> Seed:
                 w = a_cols[r]
             else:
                 w = xor_rows(real, rng.bits(r).value) if r else 0
-            coeffs = 0
-            for i, f in enumerate(dual.free):
-                coeffs |= ((w >> f) & 1) << i
+            coeffs = dual.coefficients(w)
             if dual.combine(coeffs) != w:
                 raise RuntimeError("column is outside the dual basis")
             prefix.append((coeffs, dual.dim))

@@ -232,6 +232,75 @@ def test_isd_on_lsn_instance():
         assert inst.matrix.matvec(res.secret) ^ res.error == inst.word
 
 
+# Pinned outcomes of both decoders on seeded instances: result, iteration
+# count, and the next 64 bits the shared Rng yields after the attack, so any
+# change to which sets are drawn, in what order, or how much of the stream
+# an attack consumes shows here. The cases include caps below and between
+# multiples of a batch, a threshold no error meets (-1), wins on the first
+# iteration, zero noise, and an 8 x 16 LPN matrix that is never full rank.
+# Columns: algorithm, generator, n, p, seed, max_iters, threshold, then
+# success, iterations, secret hex, error hex, next Rng.bits(64) hex.
+ISD_GOLDEN = [
+    ("prange", "lpn", 8, 0.2, 120, 400, 2, True, 59, "d6", "1040", "600eda6d10de4e02"),
+    ("prange", "lpn", 16, 0.15, 116, 400, None, True, 3, "7d50", "00302234", "62beca1b60c0d9ff"),
+    ("prange", "lpn", 64, 0.05, 4, 400, None, True, 254, "80b18999a39c5131", "00000000008002000000200000088000", "f06f9addb77a2156"),
+    ("prange", "lpn", 64, 0.05, 4, 40, None, False, 40, None, None, "fc206ba7d1222858"),
+    ("prange", "lpn", 64, 0.0, 3, 100, None, True, 7, "d447351ab6346fb1", "00000000000000000000000000000000", "a44432a08131741f"),
+    ("prange", "lpn_wide", 8, 0.0, 9, 40, None, False, 40, None, None, "88123e5134fd1671"),
+    ("prange", "symplpn", 8, 0.2, 43, 400, 2, True, 124, "9e", "8888", "7d0d7c26b4d17849"),
+    ("prange", "symplpn", 16, 0.2, 3, 400, 2, True, 55, "c1b6", "80100010", "e5f6946a1dac864d"),
+    ("prange", "symplpn", 16, 0.3, 7, 40, -1, False, 40, None, None, "76d58cb646d1371e"),
+    ("prange", "symplpn", 64, 0.05, 8, 400, None, True, 131, "9ef0059a42f613c9", "40000008010000004000200000000000", "ef623bb4c3442d99"),
+    ("prange", "symplpn", 64, 0.02, 164, 400, None, True, 1, "f68e097216ee0136", "00000000000000000000000000000000", "fda80ea888b7f287"),
+    ("prange", "lsn", 8, 0.2, 50, 400, 2, True, 104, "1601", "2400", "818938e168f6ceaf"),
+    ("prange", "lsn", 8, 0.3, 8, 5, -1, False, 5, None, None, "a63b997319a2d39e"),
+    ("prange", "lsn", 16, 0.2, 2, 400, 2, True, 49, "994a00", "08004000", "29175cb7a695c6a7"),
+    ("prange", "lsn", 64, 0.05, 3, 400, None, True, 145, "b10dafec25cef7d603", "00000000020000110002000002010010", "be83a825cf316e43"),
+    ("pair", "lpn", 8, 0.2, 120, 400, 2, True, 17, "d6", "1040", "d8d1693bcdca660e"),
+    ("pair", "lpn", 16, 0.15, 116, 400, None, True, 3, "605e", "13903012", "06e7900583ca9540"),
+    ("pair", "lpn", 64, 0.05, 4, 400, None, True, 32, "80b18999a39c5131", "00000000008002000000200000088000", "e19d884b98d43536"),
+    ("pair", "lpn", 64, 0.05, 4, 40, None, True, 32, "80b18999a39c5131", "00000000008002000000200000088000", "e19d884b98d43536"),
+    ("pair", "lpn", 64, 0.0, 3, 100, None, True, 1, "d447351ab6346fb1", "00000000000000000000000000000000", "6cb4f4aa1a0eed20"),
+    ("pair", "lpn_wide", 8, 0.0, 9, 40, None, False, 40, None, None, "1577296898c3e0ae"),
+    ("pair", "symplpn", 8, 0.2, 43, 400, 2, True, 24, "9e", "8888", "bfd3c02a201bbecb"),
+    ("pair", "symplpn", 16, 0.2, 3, 400, 2, True, 6, "c1b6", "80100010", "c46003c96f266e23"),
+    ("pair", "symplpn", 16, 0.3, 7, 40, -1, False, 40, None, None, "c008a2419a68fa4a"),
+    ("pair", "symplpn", 64, 0.05, 8, 400, None, True, 10, "9ef0059a42f613c9", "40000008010000004000200000000000", "94200fed7851c72b"),
+    ("pair", "symplpn", 64, 0.02, 164, 400, None, True, 1, "f68e097216ee0136", "00000000000000000000000000000000", "27b0ce9dadf6154d"),
+    ("pair", "lsn", 8, 0.2, 50, 400, 2, True, 22, "1601", "2400", "7030ddbcd895b624"),
+    ("pair", "lsn", 8, 0.3, 8, 5, -1, False, 5, None, None, "be49b79dd9b13068"),
+    ("pair", "lsn", 16, 0.2, 2, 400, 2, True, 19, "994a00", "08004000", "ace7cc7c22726303"),
+    ("pair", "lsn", 64, 0.05, 3, 400, None, True, 105, "b10dafec25cef7d603", "00000000020000110002000002010010", "02b02a715775f4d6"),
+]
+
+
+def _golden_instance(kind, n, p, rng):
+    if kind == "lpn":
+        return gen_lpn(rng, n, 2 * n, p, structured=True)
+    if kind == "lpn_wide":
+        return gen_lpn(rng, 2 * n, n, p, structured=True)
+    if kind == "symplpn":
+        return gen_symplpn(rng, n, n, p, structured=True)
+    return gen_lsn(rng, 2, n, p)
+
+
+@pytest.mark.parametrize(
+    "algo, kind, n, p, seed, max_iters, threshold, success, iterations, secret, error, after",
+    ISD_GOLDEN,
+    ids=[f"{c[0]}-{c[1]}-n{c[2]}-seed{c[4]}-cap{c[5]}" for c in ISD_GOLDEN],
+)
+def test_isd_golden(algo, kind, n, p, seed, max_iters, threshold, success, iterations, secret, error, after):
+    attack = prange_isd if algo == "prange" else pair_aware_isd
+    rng = Rng(seed)
+    inst = _golden_instance(kind, n, p, rng)
+    res = attack(rng, inst, max_iters, threshold)
+    assert res.success is success
+    assert res.iterations == iterations
+    assert (res.secret.to_hex() if res.secret else None) == secret
+    assert (res.error.to_hex() if res.error else None) == error
+    assert rng.bits(64).to_hex() == after
+
+
 # -- code distance ----------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from slpn.harness import (
     ExperimentSpec,
     StatSummary,
     advantage,
+    advantage_interval,
     chi_square_stat,
     empirical_tv,
     run_decryption_curve,
@@ -16,6 +17,7 @@ from slpn.harness import (
     thread_count,
     wilson_interval,
 )
+from slpn.reductions import Branch, measure_drop_bit
 from slpn.sampling import Rng, gen_symplpn
 
 
@@ -97,6 +99,40 @@ def test_advantage_brute_oracle_calibrated():
     )
     assert summary.estimate >= 0.5
 
+
+
+def test_advantage_interval_is_estimate_plus_minus_mean_wilson_width():
+    for say_s, ts, say_u, tu in ((180, 200, 20, 200), (7, 10, 3, 12), (0, 100, 100, 100)):
+        lo_s, hi_s = wilson_interval(say_s, ts)
+        lo_u, hi_u = wilson_interval(say_u, tu)
+        est = abs(say_s / ts - say_u / tu)
+        slack = (hi_s - lo_s + hi_u - lo_u) / 2.0
+        assert advantage_interval(say_s, ts, say_u, tu) == (
+            est,
+            max(0.0, est - slack),
+            min(1.0, est + slack),
+        )
+
+
+def test_advantage_reports_pinned():
+    # both callers of advantage_interval, pinned before they shared it
+    rng = Rng(21)
+    s = advantage(
+        rng,
+        make_coin_oracle(rng.split(1)),
+        lambda r: gen_symplpn(r, 3, 3, 0.1, structured=True),
+        lambda r: gen_symplpn(r, 3, 3, 0.1, structured=False),
+        trials=150,
+    )
+    assert (s.estimate, s.ci_lo, s.ci_hi, s.samples) == (
+        0.053333333333333344, 0.0, 0.21064074949005168, 300
+    )
+    rep = measure_drop_bit(
+        Rng(22), make_brute_oracle(weight_threshold=1), n=4, p=0.05,
+        branch=Branch.PLAIN, trials=60, m=1,
+    )
+    assert (rep.advantage, rep.ci_lo, rep.ci_hi) == (0.2666666666666666, 0.0, 0.592064325841498)
+    assert rep.details == {"p_structured": 0.6666666666666666, "p_unstructured": 0.4}
 
 def test_advantage_requires_enough_trials():
     rng = Rng(4)

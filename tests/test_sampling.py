@@ -18,7 +18,7 @@ from slpn.sampling import (
     sample_hyperplane_rotation,
     sample_isotropic,
 )
-from slpn.supke import Seed, expand
+from slpn.supke import Seed, expand, invert
 
 
 # -- Rng ---------------------------------------------------------------------
@@ -62,6 +62,11 @@ def test_sample_isotropic_golden_stream(n, digest):
 def test_expand_golden_stream():
     seed = Seed(Rng(42).bits(4 * 128 * 128))
     assert _digest(expand(seed).to_hex()) == "3b53a829d2da4d32"
+
+
+def test_invert_golden_stream():
+    a = expand(Seed(Rng(42).bits(4 * 128 * 128)))
+    assert _digest(invert(Rng(42), a).to_hex()) == "89e8478409fb9da7"
 
 
 # -- depolarizing noise -------------------------------------------------------
@@ -279,6 +284,43 @@ def test_instance_json_roundtrip():
         slim = Instance.from_json(inst.without_witness().to_json())
         assert slim.witness is None
 
+
+
+def _relabel(inst, **fields):
+    obj = inst.to_json()
+    obj.update(fields)
+    return obj
+
+
+def test_instance_loader_rejects_shape_contradicting_k_and_n():
+    rng = Rng(41)
+    symp = gen_symplpn(rng, 8, 8, 0.1, structured=True)  # 16 x 8
+    with pytest.raises(ValueError, match="expected 198x3"):
+        Instance.from_json(_relabel(symp, k=3, n=99))
+    with pytest.raises(ValueError):
+        Instance.from_json(_relabel(symp, k=7))
+    lpn = gen_lpn(rng, 3, 9, 0.2, structured=True)  # 9 x 3
+    with pytest.raises(ValueError):
+        Instance.from_json(_relabel(lpn, n=8))
+    with pytest.raises(ValueError):
+        Instance.from_json(_relabel(lpn, k=9, n=3))  # transposed shape
+    lsn = gen_lsn(rng, 1, 3, 0.1)  # 6 x 4
+    with pytest.raises(ValueError):
+        Instance.from_json(_relabel(lsn, k=2, n=2))
+    with pytest.raises(ValueError):
+        Instance.from_json(_relabel(lsn, kind="symplpn", k=4))  # not isotropic as a whole
+    for inst in (symp, lpn, lsn):
+        assert Instance.from_json(inst.to_json()).matrix == inst.matrix
+
+
+def test_instance_loader_rejects_lsn_without_joint_rank():
+    rng = Rng(42)
+    inst = gen_lsn(rng, 1, 3, 0.1)
+    a = inst.lsn_a_part()
+    # b = a's first column: both parts stay isotropic, [a | b] has rank n
+    dependent = a.hstack(a.take_cols([0]))
+    with pytest.raises(ValueError, match="rank"):
+        Instance.from_json(_relabel(inst, matrix=dependent.to_json()))
 
 # -- hyperplane rotation ------------------------------------------------------
 
