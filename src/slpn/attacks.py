@@ -19,7 +19,6 @@ from .sampling import Instance, InstanceKind, Rng
 
 __all__ = [
     "AttackResult",
-    "brute_force_search_symplpn",
     "brute_force_search",
     "brute_force_decide",
     "make_brute_oracle",
@@ -89,13 +88,6 @@ def brute_force_search(instance: Instance) -> tuple[BitVec, BitVec]:
         if w < best_w or (w == best_w and gray < best_x):
             best_w, best_x, best_e = w, gray, current
     return BitVec(k, best_x), BitVec(nrows, best_e)
-
-
-def brute_force_search_symplpn(instance: Instance) -> tuple[BitVec, BitVec]:
-    """Exhaustive decoder for symplectic instances: min pair-weight error."""
-    if instance.kind is not InstanceKind.SYMPLPN:
-        raise ValueError("expected a symplectic instance")
-    return brute_force_search(instance)
 
 
 def brute_force_decide(instance: Instance, weight_threshold: Optional[float] = None) -> Decision:

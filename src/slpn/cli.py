@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .gf2 import BitVec
-from .harness import ExperimentSpec, run_experiment, thread_count
+from .harness import ExperimentSpec, run_experiment
 from .owf import OwfIndex, OwfInput, owf_eval, owf_gen, owf_sample, owf_verify_preimage
 from .pke import Ciphertext, PublicKey, SecretKey, dec, enc, gen, pick_p_for_success
 from .reductions import (
@@ -167,20 +166,7 @@ def _cmd_attack(args) -> int:
         }
     else:
         attack = prange_isd if args.algorithm == "prange" else pair_aware_isd
-        workers = args.threads
-        chunk = (args.max_iters + workers - 1) // workers
-        if workers == 1:
-            results = [attack(rng.split(0), inst, args.max_iters)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(attack, rng.split(i), inst, chunk)
-                    for i in range(workers)
-                ]
-                results = [f.result() for f in futures]
-        winner = next((r for r in results if r.success), results[0])
-        result = winner.to_json()
-        result["iterations"] = sum(r.iterations for r in results)
+        result = attack(rng.split(0), inst, args.max_iters).to_json()
     if args.json:
         print(json.dumps(result, indent=2))
     else:
@@ -189,7 +175,11 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    spec = ExperimentSpec.from_json(_read_json(args.spec))
+    try:
+        spec = ExperimentSpec.from_json(_read_json(args.spec))
+    except ValueError as exc:
+        print(f"slpn experiment: {exc}", file=sys.stderr)
+        return 2
     rows, ok = run_experiment(spec)
     print(json.dumps({"rows": len(rows), "out": spec.out, "assertions_ok": ok}))
     return 0 if ok else 1
@@ -268,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algorithm", choices=["prange", "pair-isd", "brute"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--threads", default=None, help="worker count (default: SLPN_THREADS, else 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_attack)
@@ -289,14 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("attack", "experiment"):
-        # both may start threads: settle the count, or refuse, before any does
-        try:
-            args.threads = thread_count(getattr(args, "threads", None))
-        except ValueError as exc:
-            parser.error(str(exc))
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

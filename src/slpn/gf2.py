@@ -344,15 +344,7 @@ class BitMat:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         # row i of product = XOR of other's rows selected by bits of row i
-        out = []
-        for r in self.rows:
-            acc = 0
-            rr = r
-            while rr:
-                j = (rr & -rr).bit_length() - 1
-                acc ^= other.rows[j]
-                rr &= rr - 1
-            out.append(acc)
+        out = [xor_rows(other.rows, r) for r in self.rows]
         return BitMat(self.nrows, other.ncols, out)
 
     def transpose(self) -> "BitMat":
@@ -483,13 +475,7 @@ def symp_vec_mat(f, m: BitMat) -> BitVec:
     fv, fn = _as_symp_bits(f)
     if m.nrows != 2 * fn:
         raise ValueError("dimension mismatch")
-    sel = swap_halves(fv, fn)
-    acc = 0
-    while sel:
-        i = (sel & -sel).bit_length() - 1
-        acc ^= m.rows[i]
-        sel &= sel - 1
-    return BitVec(m.ncols, acc)
+    return BitVec(m.ncols, xor_rows(m.rows, swap_halves(fv, fn)))
 
 
 # -- elimination core ----------------------------------------------------

@@ -1,9 +1,11 @@
 """Statistics helpers and experiment drivers.
 
-Experiments stream rows to CSV as they finish and drop a manifest next to the
-output (inputs, seed, and a content hash) so long runs are auditable and
-reproducible. Grid points fan out over a thread pool sized by SLPN_THREADS,
-each with its own child random stream.
+Experiments run their grid points one after another on one thread, each with
+its own child random stream (``Rng.split``), and append each point's rows to
+the CSV as the point finishes. A manifest (inputs, seed, and a content hash)
+is written next to the output after the last row, so long runs are auditable
+and reproducible, and a run that stops early leaves its finished rows and no
+manifest.
 """
 from __future__ import annotations
 
@@ -11,12 +13,10 @@ import csv
 import hashlib
 import json
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .sampling import Instance, Rng
 
@@ -31,7 +31,6 @@ __all__ = [
     "run_decryption_curve",
     "run_matched_isd_benchmark",
     "run_experiment",
-    "thread_count",
 ]
 
 MAX_OUTCOME_SPACE = 1 << 16
@@ -162,13 +161,28 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
+        """Parse a spec; anything malformed raises ValueError naming the field."""
+        if not isinstance(obj, dict):
+            raise ValueError("spec must be a JSON object")
+        missing = [key for key in ("name", "grid", "trials", "seed", "out") if key not in obj]
+        if missing:
+            raise ValueError(f"spec is missing {', '.join(missing)}")
+        for key in ("name", "out"):
+            if not isinstance(obj[key], str):
+                raise ValueError(f"{key} must be a string, got {obj[key]!r}")
+        grid = obj["grid"]
+        if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
+            raise ValueError(f"grid must be a list of objects, got {grid!r}")
+        options = obj.get("options", {})
+        if not isinstance(options, dict):
+            raise ValueError(f"options must be an object, got {options!r}")
         return cls(
             name=obj["name"],
-            grid=tuple(dict(g) for g in obj["grid"]),
-            trials=int(obj["trials"]),
-            seed=int(obj["seed"]),
+            grid=tuple(dict(g) for g in grid),
+            trials=_int_field(obj, "trials"),
+            seed=_int_field(obj, "seed"),
             out=obj["out"],
-            options=dict(obj.get("options", {})),
+            options=dict(options),
         )
 
     def to_json(self) -> dict:
@@ -182,57 +196,35 @@ class ExperimentSpec:
         }
 
 
-def thread_count(raw: Optional[str] = None) -> int:
-    """Worker count from ``raw`` (a ``--threads`` value) or else SLPN_THREADS.
-
-    Unset means 1. Anything but an integer >= 1 raises ValueError naming
-    where the value came from.
-    """
-    source = "--threads"
-    if raw is None:
-        source, raw = "SLPN_THREADS", os.environ.get("SLPN_THREADS", "1")
+def _int_field(obj: dict, key: str) -> int:
     try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {raw!r}")
-    return value
+        return int(obj[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got {obj[key]!r}") from None
 
 
-def _run_grid(spec: ExperimentSpec, point_fn) -> list[dict]:
+def _run_grid(spec: ExperimentSpec, fieldnames: Sequence[str], point_fn) -> list[dict]:
+    """Run each grid point on child stream ``i`` of the spec's seed, writing and
+    flushing its rows as it finishes; the manifest follows the last row."""
     rng = Rng(spec.seed)
-    workers = thread_count()
-    jobs = [(i, point, rng.split(i)) for i, point in enumerate(spec.grid)]
-    if workers == 1:
-        results = [point_fn(point, child) for _, point, child in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(point_fn, point, child) for _, point, child in jobs]
-            results = [f.result() for f in futures]
-    rows: list[dict] = []
-    for res in results:
-        rows.extend(res)
-    return rows
-
-
-def _write_rows(spec: ExperimentSpec, fieldnames: Sequence[str], rows: Iterable[dict]) -> None:
     out = Path(spec.out)
+    manifest = Path(str(out) + ".manifest.json")
     out.parent.mkdir(parents=True, exist_ok=True)
-    hasher = hashlib.sha256()
+    manifest.unlink(missing_ok=True)
+    rows: list[dict] = []
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        for i, point in enumerate(spec.grid):
+            point_rows = point_fn(point, rng.split(i))
+            writer.writerows(point_rows)
             fh.flush()
-    hasher.update(out.read_bytes())
-    manifest = {
-        "spec": spec.to_json(),
-        "seed": spec.seed,
-        "sha256": hasher.hexdigest(),
-    }
-    Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
+            rows.extend(point_rows)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    manifest.write_text(
+        json.dumps({"spec": spec.to_json(), "seed": spec.seed, "sha256": digest}, indent=2)
+    )
+    return rows
 
 
 def _resolve_p(point: dict, n: int) -> float:
@@ -276,9 +268,7 @@ def run_decryption_curve(spec: ExperimentSpec) -> list[dict]:
             }
         ]
 
-    rows = _run_grid(spec, point_fn)
-    _write_rows(spec, ["n", "p", "predicted", "measured", "trials"], rows)
-    return rows
+    return _run_grid(spec, ["n", "p", "predicted", "measured", "trials"], point_fn)
 
 
 def run_matched_isd_benchmark(spec: ExperimentSpec) -> list[dict]:
@@ -326,13 +316,11 @@ def run_matched_isd_benchmark(spec: ExperimentSpec) -> list[dict]:
             )
         return rows
 
-    rows = _run_grid(spec, point_fn)
-    _write_rows(
+    return _run_grid(
         spec,
         ["n", "q", "p", "problem", "algorithm", "median_iterations", "success_rate"],
-        rows,
+        point_fn,
     )
-    return rows
 
 
 def _maybe_render_svg(spec: ExperimentSpec, rows: list[dict]) -> None:

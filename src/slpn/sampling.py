@@ -38,7 +38,6 @@ __all__ = [
     "gen_lsn",
     "gen_lpn",
     "HyperplaneRotation",
-    "sample_hyperplane_rotation",
 ]
 
 
@@ -386,9 +385,3 @@ def _swap_bits(v: int, i: int, j: int) -> int:
     if bi != bj:
         v ^= (1 << i) | (1 << j)
     return v
-
-
-def sample_hyperplane_rotation(rng: Rng, n: int) -> BitMat:
-    """Random symplectic hyperplane rotation (2n x 2n); identity when no
-    second-half bit of the drawn vector is set."""
-    return HyperplaneRotation.sample(rng, n).c

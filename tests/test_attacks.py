@@ -9,7 +9,6 @@ from naive_gf2 import naive_matvec, naive_rank
 from slpn.attacks import (
     brute_force_decide,
     brute_force_search,
-    brute_force_search_symplpn,
     eta_weight,
     make_coin_oracle,
     min_distance,
@@ -52,7 +51,7 @@ def test_brute_force_recovers_noiseless_secret():
     rng = Rng(1)
     for _ in range(20):
         inst = gen_symplpn(rng, 4, 4, 1e-12, structured=True, keep_witness=True)
-        x, e = brute_force_search_symplpn(inst.without_witness())
+        x, e = brute_force_search(inst.without_witness())
         if inst.witness.error.is_zero():
             assert x == inst.witness.secret
             assert e.is_zero()
@@ -62,7 +61,7 @@ def test_brute_force_never_beaten_by_witness():
     rng = Rng(2)
     for _ in range(100):
         inst = gen_symplpn(rng, 4, 4, 0.25, structured=True, keep_witness=True)
-        _, e = brute_force_search_symplpn(inst.without_witness())
+        _, e = brute_force_search(inst.without_witness())
         n = inst.n
         assert pair_weight_int(e.value, n) <= pair_weight_int(inst.witness.error.value, n)
 
@@ -93,8 +92,6 @@ def test_brute_force_limit():
     inst = gen_lpn(rng, 25, 30, 0.1, structured=True)
     with pytest.raises(ValueError):
         brute_force_search(inst)
-    with pytest.raises(ValueError):
-        brute_force_search_symplpn(gen_lpn(rng, 3, 8, 0.1, structured=True))
 
 
 def test_brute_decide_structured_noiseless():

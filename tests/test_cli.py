@@ -113,10 +113,42 @@ def test_attack_cli(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["success"] is True
     rc = run(["attack", "pair-isd", "--in", str(inst_file), "--max-iters", "20000",
-              "--threads", "2", "--seed", "12", "--json"])
+              "--seed", "12", "--json"])
     assert rc == 0
     rc = run(["attack", "brute", "--in", str(inst_file), "--seed", "13", "--json"])
     assert rc == 0
+
+
+# Pinned at the commit before `attack` lost its worker fan-out; wall_time is
+# the only field a seed does not fix.
+PINNED_ATTACKS = {
+    ("prange", "11"): {"success": True, "iterations": 30, "secret": "4d4d89fa",
+                       "error": "0000001200000010"},
+    ("pair-isd", "12"): {"success": True, "iterations": 5, "secret": "4d4d89fa",
+                         "error": "0000001200000010"},
+}
+
+
+def _attack_json(tmp_path, capsys, algorithm, seed):
+    inst_file = tmp_path / "pinned.json"
+    run(["sample", "--kind", "symplpn", "--n", "32", "--k", "32", "--p", "0.08",
+         "--structured", "--seed", "23", "--out", str(inst_file)])
+    capsys.readouterr()
+    rc = run(["attack", algorithm, "--in", str(inst_file), "--max-iters", "20000",
+              "--seed", seed, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    return {
+        "success": out["success"],
+        "iterations": out["iterations"],
+        "secret": out["secret"]["hex"],
+        "error": out["error"]["hex"],
+    }
+
+
+@pytest.mark.parametrize("algorithm, seed", sorted(PINNED_ATTACKS))
+def test_attack_json_pinned(tmp_path, capsys, algorithm, seed):
+    assert _attack_json(tmp_path, capsys, algorithm, seed) == PINNED_ATTACKS[algorithm, seed]
 
 
 def test_experiment_cli(tmp_path, capsys):
@@ -140,53 +172,50 @@ def test_experiment_cli(tmp_path, capsys):
     assert run(["experiment", "--spec", str(spec_file)]) == 1
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a thread pool was started")
-
-
 def test_bad_thread_env_spares_commands_without_threads(tmp_path, monkeypatch, capsys):
+    # slpn runs on one thread and reads no thread-count variable
+    from test_harness import PINNED_SHA256, PINNED_SPECS, output_sha256
+
     monkeypatch.setenv("SLPN_THREADS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        run(["keygen", "--help"])
-    assert exc.value.code == 0
     assert run(["keygen", "--n", "8", "--p", "0.01", "--seed", "1",
                 "--pk", str(tmp_path / "pk.json"), "--sk", str(tmp_path / "sk.json")]) == 0
+    for (algorithm, seed), pinned in PINNED_ATTACKS.items():
+        assert _attack_json(tmp_path, capsys, algorithm, seed) == pinned
+    monkeypatch.chdir(tmp_path)
+    spec = dict(PINNED_SPECS["curve"], grid=list(PINNED_SPECS["curve"]["grid"]))
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert run(["experiment", "--spec", "spec.json"]) == 0
+    assert output_sha256(spec["out"]) == PINNED_SHA256["curve"]
 
 
-@pytest.mark.parametrize(
-    "env, flag, source",
-    [("abc", None, "SLPN_THREADS"), ("0", None, "SLPN_THREADS"),
-     ("1", "0", "--threads"), (None, "two", "--threads")],
-)
-def test_bad_thread_count_rejected_before_any_thread(tmp_path, monkeypatch, capsys, env, flag, source):
-    import slpn.cli
-    import slpn.harness
-
-    monkeypatch.setattr(slpn.cli, "ThreadPoolExecutor", _no_pool)
-    monkeypatch.setattr(slpn.harness, "ThreadPoolExecutor", _no_pool)
-    if env is None:
-        monkeypatch.delenv("SLPN_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SLPN_THREADS", env)
+def test_attack_threads_flag_is_gone(tmp_path, capsys):
     inst_file = tmp_path / "inst.json"
     run(["sample", "--kind", "lpn", "--n", "16", "--k", "4", "--p", "0.05",
          "--structured", "--seed", "10", "--out", str(inst_file)])
-    argv = ["attack", "prange", "--in", str(inst_file), "--max-iters", "50"]
-    if flag is not None:
-        argv += ["--threads", flag]
     with pytest.raises(SystemExit) as exc:
-        run(argv)
+        run(["attack", "prange", "--in", str(inst_file), "--threads", "2"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert source in err and "integer >= 1" in err
-    if flag is None:
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json.dumps({
-            "name": "decryption_curve", "grid": [{"n": 8, "p": 0.01}], "trials": 10,
-            "seed": 1, "out": str(tmp_path / "c.csv"), "options": {},
-        }))
-        with pytest.raises(SystemExit) as exc:
-            run(["experiment", "--spec", str(spec_file)])
-        assert exc.value.code == 2
-        assert source in capsys.readouterr().err
-        assert not (tmp_path / "c.csv").exists()
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"name": "decryption_curve", "trials": 10, "seed": 1, "out": "c.csv"}, "grid"),
+        ({"name": "decryption_curve", "grid": [1], "trials": 10, "seed": 1, "out": "c.csv"},
+         "grid"),
+        ({"name": "decryption_curve", "grid": [{"n": 8, "p": 0.01}], "trials": 10, "seed": 1,
+          "out": "c.csv", "options": [1]}, "options"),
+        ({"name": "decryption_curve", "grid": [{"n": 8, "p": 0.01}], "trials": "a", "seed": 1,
+          "out": "c.csv"}, "trials"),
+    ],
+    ids=["no-grid", "grid-entry-int", "options-list", "trials-str"],
+)
+def test_experiment_bad_spec_exits_2(tmp_path, monkeypatch, capsys, spec, field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert run(["experiment", "--spec", "spec.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+    assert not (tmp_path / "c.csv").exists()

@@ -1,5 +1,7 @@
 """Tests for the statistics helpers and experiment drivers."""
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,6 @@ from slpn.harness import (
     run_decryption_curve,
     run_experiment,
     run_matched_isd_benchmark,
-    thread_count,
     wilson_interval,
 )
 from slpn.reductions import Branch, measure_drop_bit
@@ -219,21 +220,53 @@ def test_decryption_curve_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_decryption_curve_threaded_matches_serial(tmp_path, monkeypatch):
-    spec_args = dict(
+# Pinned at the commit before the grid lost its thread pool: a seed must keep
+# giving these exact bytes. `out` is relative so the manifest is path-free.
+PINNED_SPECS = {
+    "curve": dict(
         name="decryption_curve",
-        grid=({"n": 16, "p": 0.05}, {"n": 16, "p": 0.1}),
-        trials=150,
+        grid=({"n": 16, "p": 0.05}, {"n": 32, "p": "auto:0.8"}),
+        trials=60,
         seed=12,
-        options={},
+        out="curve.csv",
+        options={"encs_per_key": 3},
+    ),
+    "isd": dict(
+        name="matched_isd",
+        grid=({"n": 12, "q": 0.02},),
+        trials=3,
+        seed=6,
+        out="isd.csv",
+        options={"max_iters": 20000},
+    ),
+}
+PINNED_SHA256 = {
+    "curve": (
+        "0f2c96c3256ca3254363a0678560a73d6ba2afa8a91339f5cfe484ce26e3ceb0",
+        "dbe9314183376448098be6bcf0b14b47c71d692ab395b7e9f777354f2a675f53",
+    ),
+    "isd": (
+        "eb730cfa78aa39fa254e774769e43dff3732de02eb11aad1a42c296239d66529",
+        "13c406b81038976111378c407bc1163cb6cc86bfd0dcbb28263306f62b14e39c",
+    ),
+}
+
+
+def output_sha256(out: str) -> tuple[str, str]:
+    """sha256 of an experiment's CSV and of its manifest."""
+    return tuple(
+        hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for path in (out, out + ".manifest.json")
     )
-    a = tmp_path / "serial.csv"
-    b = tmp_path / "threaded.csv"
-    monkeypatch.setenv("SLPN_THREADS", "1")
-    run_decryption_curve(ExperimentSpec(out=str(a), **spec_args))
-    monkeypatch.setenv("SLPN_THREADS", "4")
-    run_decryption_curve(ExperimentSpec(out=str(b), **spec_args))
-    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SPECS))
+def test_experiment_outputs_pinned(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    spec = ExperimentSpec(**PINNED_SPECS[key])
+    rows, ok = run_experiment(spec)
+    assert ok
+    assert output_sha256(spec.out) == PINNED_SHA256[key]
 
 
 def test_matched_isd_benchmark(tmp_path):
@@ -290,32 +323,59 @@ def test_run_experiment_dispatch_and_assertions(tmp_path):
         run_experiment(bad)
 
 
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("SLPN_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("SLPN_THREADS", "3")
-    assert thread_count() == 3
-    assert thread_count("2") == 2
-    for bad in ("abc", "0", "-1", "1.5", ""):
-        monkeypatch.setenv("SLPN_THREADS", bad)
-        with pytest.raises(ValueError, match="SLPN_THREADS must be an integer >= 1"):
-            thread_count()
-        with pytest.raises(ValueError, match="--threads must be an integer >= 1"):
-            thread_count(bad)
+def test_failed_run_keeps_finished_rows_and_no_manifest(tmp_path):
+    import csv
 
-
-def test_bad_thread_env_fails_before_any_thread(tmp_path, monkeypatch):
-    import slpn.harness
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(slpn.harness, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("SLPN_THREADS", "abc")
+    out = tmp_path / "partial.csv"
     spec = ExperimentSpec(
-        name="decryption_curve", grid=({"n": 8, "p": 0.01},), trials=10, seed=1,
-        out=str(tmp_path / "c.csv"), options={},
+        name="decryption_curve",
+        grid=({"n": 16, "p": 0.05}, {"n": 16, "p": 2.0}),
+        trials=20,
+        seed=3,
+        out=str(out),
     )
-    with pytest.raises(ValueError, match="SLPN_THREADS"):
+    with pytest.raises(ValueError, match="p out of range"):
         run_decryption_curve(spec)
-    assert not (tmp_path / "c.csv").exists()
+    with out.open(newline="") as fh:
+        back = list(csv.DictReader(fh))
+    assert [(r["n"], r["p"], r["trials"]) for r in back] == [("16", "0.05", "20")]
+    assert not (tmp_path / "partial.csv.manifest.json").exists()
+    # the finished row is the one a complete run writes for that point
+    whole = run_decryption_curve(
+        ExperimentSpec(name="decryption_curve", grid=spec.grid[:1], trials=20, seed=3,
+                       out=str(tmp_path / "whole.csv"))
+    )
+    assert float(back[0]["measured"]) == whole[0]["measured"]
+
+
+def _spec_json(**changes):
+    obj = {"name": "decryption_curve", "grid": [{"n": 8, "p": 0.01}], "trials": 10,
+           "seed": 1, "out": "c.csv", "options": {}}
+    obj.update(changes)
+    return {k: v for k, v in obj.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"grid": None}, "grid"),
+        ({"trials": None, "seed": None}, "trials, seed"),
+        ({"grid": [1]}, "grid"),
+        ({"grid": {"n": 8}}, "grid"),
+        ({"options": [1]}, "options"),
+        ({"trials": "a"}, "trials"),
+        ({"seed": None}, "seed"),
+        ({"out": 5}, "out"),
+    ],
+    ids=["no-grid", "no-trials-seed", "grid-entry-int", "grid-object", "options-list",
+         "trials-str", "no-seed", "out-int"],
+)
+def test_spec_from_json_rejects_bad_fields(changes, field):
+    with pytest.raises(ValueError, match=field):
+        ExperimentSpec.from_json(_spec_json(**changes))
+
+
+def test_spec_from_json_rejects_non_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentSpec.from_json([1, 2])
+

@@ -1,5 +1,6 @@
 """Tests for seeded randomness, distribution samplers, and instance generators."""
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from slpn.sampling import (
     gen_symplpn,
     sample_bernoulli,
     sample_depolarizing,
-    sample_hyperplane_rotation,
     sample_isotropic,
 )
 from slpn.supke import Seed, expand, invert
@@ -67,6 +67,29 @@ def test_expand_golden_stream():
 def test_invert_golden_stream():
     a = expand(Seed(Rng(42).bits(4 * 128 * 128)))
     assert _digest(invert(Rng(42), a).to_hex()) == "89e8478409fb9da7"
+
+
+def _instance_digest(inst: Instance) -> str:
+    return _digest(json.dumps(inst.to_json(), sort_keys=True))
+
+
+def test_depolarizing_golden_stream():
+    assert _digest(sample_depolarizing(Rng(42), 64, 0.1).v.to_hex()) == "ce600f8b17ac826b"
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (lambda: gen_lpn(Rng(42), 32, 64, 0.1, structured=True, keep_witness=True), "2a772af69219f00f"),
+        (lambda: gen_lpn(Rng(43), 32, 64, 0.1, structured=False, keep_witness=True), "8f7c725409a7778f"),
+        (lambda: gen_symplpn(Rng(42), 32, 64, 0.1, structured=True, keep_witness=True), "03419a9486a9f937"),
+        (lambda: gen_symplpn(Rng(43), 32, 64, 0.1, structured=False, keep_witness=True), "9682adb7a6c41cee"),
+        (lambda: gen_lsn(Rng(42), 8, 32, 0.1, keep_witness=True), "ed2d03b391b74fd8"),
+    ],
+    ids=["lpn", "lpn-uniform", "symplpn", "symplpn-uniform", "lsn"],
+)
+def test_gen_golden_stream(make, digest):
+    assert _instance_digest(make()) == digest
 
 
 # -- depolarizing noise -------------------------------------------------------
@@ -377,7 +400,7 @@ def test_rotation_identity_when_second_half_zero():
 
 def test_rotation_small_n_rejected():
     with pytest.raises(ValueError):
-        sample_hyperplane_rotation(Rng(0), 1)
+        HyperplaneRotation.sample(Rng(0), 1)
 
 
 def test_rotation_cf1_uniform_over_valid_vectors():
