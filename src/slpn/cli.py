@@ -14,7 +14,7 @@ from pathlib import Path
 from .gf2 import BitVec
 from .harness import ExperimentSpec, run_experiment
 from .owf import OwfIndex, OwfInput, owf_eval, owf_gen, owf_sample, owf_verify_preimage
-from .pke import Ciphertext, PublicKey, SecretKey, dec, enc, gen, pick_p_for_success
+from .pke import Ciphertext, PublicKey, SecretKey, dec, enc, gen, parse_p
 from .reductions import (
     Branch,
     interpolation_select,
@@ -33,12 +33,6 @@ def _read_json(path: str) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _parse_p(raw: str, n: int) -> float:
-    if raw.startswith("auto:"):
-        return pick_p_for_success(n, float(raw.split(":", 1)[1]))
-    return float(raw)
-
-
 def _cmd_sample(args) -> int:
     rng = Rng(args.seed)
     kind = InstanceKind(args.kind)
@@ -54,16 +48,16 @@ def _cmd_sample(args) -> int:
 
 def _cmd_keygen(args) -> int:
     rng = Rng(args.seed)
-    p = _parse_p(args.p, args.n)
-    pk, sk = gen(rng, args.n, p)
+    p = parse_p(args.p, args.n)
+    pk, sk = args.gen(rng, args.n, p)
     _write_json(args.pk, pk.to_json())
     _write_json(args.sk, sk.to_json())
     return 0
 
 
 def _cmd_encrypt(args) -> int:
-    pk = PublicKey.from_json(_read_json(args.pk))
-    ct = enc(Rng(args.seed), pk, args.bit)
+    pk = args.key.from_json(_read_json(args.pk))
+    ct = args.enc(Rng(args.seed), pk, args.bit)
     _write_json(args.out, ct.to_json())
     return 0
 
@@ -71,30 +65,7 @@ def _cmd_encrypt(args) -> int:
 def _cmd_decrypt(args) -> int:
     sk = SecretKey.from_json(_read_json(args.sk))
     ct = Ciphertext.from_json(_read_json(args.ct))
-    print(dec(sk, ct))
-    return 0
-
-
-def _cmd_su_keygen(args) -> int:
-    rng = Rng(args.seed)
-    p = _parse_p(args.p, args.n)
-    pk, sk = su_gen(rng, args.n, p)
-    _write_json(args.pk, pk.to_json())
-    _write_json(args.sk, sk.to_json())
-    return 0
-
-
-def _cmd_su_encrypt(args) -> int:
-    pk = SuPublicKey.from_json(_read_json(args.pk))
-    ct = su_enc(Rng(args.seed), pk, args.bit)
-    _write_json(args.out, ct.to_json())
-    return 0
-
-
-def _cmd_su_decrypt(args) -> int:
-    sk = SecretKey.from_json(_read_json(args.sk))
-    ct = Ciphertext.from_json(_read_json(args.ct))
-    print(su_dec(sk, ct))
+    print(args.dec(sk, ct))
     return 0
 
 
@@ -207,28 +178,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sample)
 
-    for name, fn in (("keygen", _cmd_keygen), ("su-keygen", _cmd_su_keygen)):
+    for name, keygen in (("keygen", gen), ("su-keygen", su_gen)):
         p = sub.add_parser(name)
         p.add_argument("--n", type=int, default=512)
         p.add_argument("--p", default="auto:0.75")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--pk", default="pk.json")
         p.add_argument("--sk", default="sk.json")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_keygen, gen=keygen)
 
-    for name, fn in (("encrypt", _cmd_encrypt), ("su-encrypt", _cmd_su_encrypt)):
+    for name, encrypt, key in (("encrypt", enc, PublicKey), ("su-encrypt", su_enc, SuPublicKey)):
         p = sub.add_parser(name)
         p.add_argument("--pk", required=True)
         p.add_argument("--bit", type=int, choices=[0, 1], required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="ct.json")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_encrypt, enc=encrypt, key=key)
 
-    for name, fn in (("decrypt", _cmd_decrypt), ("su-decrypt", _cmd_su_decrypt)):
+    for name, decrypt in (("decrypt", dec), ("su-decrypt", su_dec)):
         p = sub.add_parser(name)
         p.add_argument("--sk", required=True)
         p.add_argument("--ct", required=True)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_decrypt, dec=decrypt)
 
     p = sub.add_parser("owf", help="one-way-function family")
     p.add_argument("action", choices=["gen", "sample", "eval", "verify"])

@@ -78,6 +78,7 @@ __all__ = [
     "pair_weight_int",
     "permute_pairs",
     "permute_rows_pairs",
+    "read_fields",
 ]
 
 
@@ -131,12 +132,10 @@ class BitVec:
         return cls(n, value)
 
     @classmethod
-    def from_bytes(cls, nbits: int, data: bytes) -> "BitVec":
-        return cls(nbits, int.from_bytes(data, "little"))
-
-    @classmethod
     def from_hex(cls, nbits: int, hexstr: str) -> "BitVec":
-        return cls.from_bytes(nbits, bytes.fromhex(hexstr))
+        """The vector ``to_hex`` writes, decoded as a one-row matrix, so a
+        payload of the wrong length or with a bit set past nbits raises ValueError."""
+        return cls(nbits, BitMat.from_json({"rows": 1, "cols": nbits, "hex": hexstr}).rows[0])
 
     @classmethod
     def from_numpy(cls, bits: np.ndarray) -> "BitVec":
@@ -178,11 +177,6 @@ class BitVec:
             raise ValueError("length mismatch")
         return BitVec(self.nbits, self.value ^ other.value)
 
-    def __and__(self, other: "BitVec") -> "BitVec":
-        if self.nbits != other.nbits:
-            raise ValueError("length mismatch")
-        return BitVec(self.nbits, self.value & other.value)
-
     def flip_bits(self, indices: Iterable[int]) -> "BitVec":
         v = self.value
         for i in indices:
@@ -222,10 +216,8 @@ class BitVec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BitVec":
-        v = cls.from_hex(int(obj["len"]), obj["hex"])
-        if v.value != v.value & _mask(v.nbits):
-            raise ValueError("trailing bits set")
-        return v
+        nbits, hexstr = read_fields(obj, "bit vector", len=int, hex=str)
+        return cls.from_hex(nbits, hexstr)
 
 
 class BitMat:
@@ -286,9 +278,6 @@ class BitMat:
         return cls(arr.shape[0], arr.shape[1], rows)
 
     # -- access -------------------------------------------------------
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.ncols, self.rows[i])
-
     def col(self, j: int) -> BitVec:
         if not 0 <= j < self.ncols:
             raise IndexError(j)
@@ -357,9 +346,6 @@ class BitMat:
         rows = [a | (b << sh) for a, b in zip(self.rows, other.rows)]
         return BitMat(self.nrows, self.ncols + other.ncols, rows)
 
-    def take_rows(self, indices: Sequence[int]) -> "BitMat":
-        return BitMat(len(indices), self.ncols, [self.rows[i] for i in indices])
-
     def take_cols(self, indices: Sequence[int]) -> "BitMat":
         rows = []
         for r in self.rows:
@@ -379,8 +365,10 @@ class BitMat:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BitMat":
-        nrows, ncols = int(obj["rows"]), int(obj["cols"])
-        data = bytes.fromhex(obj["hex"])
+        nrows, ncols, hexstr = read_fields(obj, "bit matrix", rows=int, cols=int, hex=str)
+        if nrows < 0 or ncols < 0:
+            raise ValueError("negative shape")
+        data = bytes.fromhex(hexstr)
         nbytes = (ncols + 7) // 8
         if len(data) != nrows * nbytes:
             raise ValueError("payload length mismatch")
@@ -388,9 +376,32 @@ class BitMat:
             int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "little")
             for i in range(nrows)
         ]
-        if any(r != r & _mask(ncols) for r in rows):
+        if any(r >> ncols for r in rows):
             raise ValueError("trailing bits set")
         return cls(nrows, ncols, rows)
+
+
+def read_fields(obj, what: str, allowed: Optional[Iterable[str]] = None, **kinds: type) -> list:
+    """The values at the keys of a loaded JSON object, each checked to be of its
+    kind: ``int`` refuses bool, float and str, ``float`` takes any number but
+    bool, and ``object`` takes anything. Raises ValueError naming ``what`` for
+    a non-object, the missing keys, a value of the wrong kind, or, when
+    ``allowed`` is given, a key that is neither required nor allowed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in kinds if key not in obj]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(missing)}")
+    unknown = set(obj) - set(kinds) - set(obj if allowed is None else allowed)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {', '.join(sorted(unknown))}")
+    for key, kind in kinds.items():
+        value = obj[key]
+        number = (int, float) if kind is float else kind
+        bad_bool = isinstance(value, bool) != (kind is bool)  # bool subclasses int
+        if kind is not object and (bad_bool or not isinstance(value, number)):
+            raise ValueError(f"{what} {key} must be {kind.__name__}, got {value!r}")
+    return [obj[key] for key in kinds]
 
 
 def _transpose_bitmat(m: BitMat) -> BitMat:

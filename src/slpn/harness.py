@@ -1,11 +1,13 @@
 """Statistics helpers and experiment drivers.
 
-Experiments run their grid points one after another on one thread, each with
-its own child random stream (``Rng.split``), and append each point's rows to
-the CSV as the point finishes. A manifest (inputs, seed, and a content hash)
-is written next to the output after the last row, so long runs are auditable
-and reproducible, and a run that stops early leaves its finished rows and no
-manifest.
+Each experiment is one entry of ``_EXPERIMENTS``: its CSV columns, the keys a
+grid point and the options take, its point parser and runner, its assertion
+over each point's rows and its plot axes. ``ExperimentSpec.from_json`` checks
+a spec against that entry with the parse the run uses, so a bad spec fails
+before any row. Grid points run one after another on one thread, each with
+its own child random stream (``Rng.split``), and their rows are appended to
+the CSV as each finishes. A manifest (inputs, seed, and a content hash)
+follows the last row, so a run that stops early leaves no manifest.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
+from .gf2 import read_fields
 from .sampling import Instance, Rng
 
 __all__ = [
@@ -161,29 +164,21 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
-        """Parse a spec; anything malformed raises ValueError naming the field."""
-        if not isinstance(obj, dict):
-            raise ValueError("spec must be a JSON object")
-        missing = [key for key in ("name", "grid", "trials", "seed", "out") if key not in obj]
-        if missing:
-            raise ValueError(f"spec is missing {', '.join(missing)}")
-        for key in ("name", "out"):
-            if not isinstance(obj[key], str):
-                raise ValueError(f"{key} must be a string, got {obj[key]!r}")
-        grid = obj["grid"]
-        if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
-            raise ValueError(f"grid must be a list of objects, got {grid!r}")
-        options = obj.get("options", {})
-        if not isinstance(options, dict):
-            raise ValueError(f"options must be an object, got {options!r}")
-        return cls(
-            name=obj["name"],
-            grid=tuple(dict(g) for g in grid),
-            trials=_int_field(obj, "trials"),
-            seed=_int_field(obj, "seed"),
-            out=obj["out"],
-            options=dict(options),
+        """Parse a spec and check it against its experiment's entry, so that
+        anything malformed raises ValueError naming the field before any run."""
+        name, grid, trials, seed, out = read_fields(
+            obj, "spec", allowed=["options"], name=str, grid=list, trials=int, seed=int, out=str
         )
+        experiment = _experiment(name)
+        options = obj.get("options", {})
+        read_fields(options, "options", allowed=experiment.options)
+        kinds = {key: experiment.options[key] for key in options}
+        for key, value in zip(kinds, read_fields(options, "options", **kinds)):
+            if kinds[key] is int:
+                _positive(value, key)
+        for i, point in enumerate(grid):
+            experiment.parse(point, i)
+        return cls(name, tuple(dict(g) for g in grid), trials, seed, out, dict(options))
 
     def to_json(self) -> dict:
         return {
@@ -196,59 +191,86 @@ class ExperimentSpec:
         }
 
 
-def _int_field(obj: dict, key: str) -> int:
-    try:
-        return int(obj[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, got {obj[key]!r}") from None
+class _Experiment:
+    """One experiment, defined once for every step that reads a spec.
+
+    ``columns`` is the CSV header, in the order ``run_point`` fills each row;
+    ``point_keys`` and ``options`` give the kind of each key a grid point and
+    the options take (integer options are counts, at least 1); ``plot`` is the
+    SVG's x, its ys and the columns naming a series. ``parse_point`` turns a
+    point's values into what ``run_point`` takes; ``check`` judges one point's
+    rows."""
+
+    columns: tuple[str, ...]
+    point_keys: dict[str, type]
+    options: dict[str, type]
+    plot: tuple[str, tuple[str, ...], tuple[str, ...]]
+
+    def parse(self, point: dict, i: int) -> tuple:
+        """Grid point ``i`` parsed as the run parses it; ValueError naming it."""
+        where = f"grid[{i}]"
+        values = read_fields(point, where, allowed=(), **self.point_keys)
+        try:
+            return self.parse_point(*values)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
-def _run_grid(spec: ExperimentSpec, fieldnames: Sequence[str], point_fn) -> list[dict]:
+def _experiment(name: str) -> _Experiment:
+    if name not in _EXPERIMENTS:
+        raise ValueError(f"name {name!r} is not one of {', '.join(_EXPERIMENTS)}")
+    return _EXPERIMENTS[name]
+
+
+def _positive(value: int, key: str) -> int:
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
+    return value
+
+
+def _run_grid(spec: ExperimentSpec, experiment: _Experiment) -> tuple[list[dict], bool]:
     """Run each grid point on child stream ``i`` of the spec's seed, writing and
-    flushing its rows as it finishes; the manifest follows the last row."""
+    flushing its rows as it finishes; the manifest follows the last row.
+    Returns the rows and whether every point's rows passed the check."""
     rng = Rng(spec.seed)
     out = Path(spec.out)
     manifest = Path(str(out) + ".manifest.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     manifest.unlink(missing_ok=True)
     rows: list[dict] = []
+    ok = True
     with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
+        writer = csv.DictWriter(fh, fieldnames=list(experiment.columns))
         writer.writeheader()
         for i, point in enumerate(spec.grid):
-            point_rows = point_fn(point, rng.split(i))
+            point_rows = experiment.run_point(spec, experiment.parse(point, i), rng.split(i))
             writer.writerows(point_rows)
             fh.flush()
             rows.extend(point_rows)
+            ok = experiment.check(spec.options, point_rows) and ok
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     manifest.write_text(
         json.dumps({"spec": spec.to_json(), "seed": spec.seed, "sha256": digest}, indent=2)
     )
-    return rows
+    return rows, ok
 
 
-def _resolve_p(point: dict, n: int) -> float:
-    from .pke import pick_p_for_success
+class _DecryptionCurve(_Experiment):
+    columns = ("n", "p", "predicted", "measured", "trials")
+    point_keys = {"n": int, "p": object}
+    options = {"encs_per_key": int, "max_abs_error": float, "svg": object}
+    plot = ("p", ("predicted", "measured"), ())
 
-    p = point["p"]
-    if isinstance(p, str) and p.startswith("auto:"):
-        return pick_p_for_success(n, float(p.split(":", 1)[1]))
-    return float(p)
+    def parse_point(self, n: int, p) -> tuple[int, float]:
+        from .pke import parse_p
 
+        return _positive(n, "n"), parse_p(p, n)
 
-def run_decryption_curve(spec: ExperimentSpec) -> list[dict]:
-    """Measured vs predicted decryption success on an (n, p) grid; emits CSV.
+    def run_point(self, spec: ExperimentSpec, point: tuple[int, float], rng: Rng) -> list[dict]:
+        from .pke import dec, enc, gen, predict_success
 
-    options.encs_per_key controls how many encryptions reuse one keypair
-    (default 1: a fresh keypair per trial).
-    """
-    from .pke import dec, enc, gen, predict_success
-
-    encs_per_key = int(spec.options.get("encs_per_key", 1))
-
-    def point_fn(point: dict, rng: Rng) -> list[dict]:
-        n = int(point["n"])
-        p = _resolve_p(point, n)
+        n, p = point
+        encs_per_key = int(spec.options.get("encs_per_key", 1))
         hits = 0
         done = 0
         while done < spec.trials:
@@ -257,18 +279,64 @@ def run_decryption_curve(spec: ExperimentSpec) -> list[dict]:
                 mu = rng.bit()
                 hits += dec(sk, enc(rng, pk, mu)) == mu
                 done += 1
-        measured = hits / done
-        return [
-            {
-                "n": n,
-                "p": p,
-                "predicted": predict_success(n, p),
-                "measured": measured,
-                "trials": done,
-            }
-        ]
+        return [dict(zip(self.columns, (n, p, predict_success(n, p), hits / done, done)))]
 
-    return _run_grid(spec, ["n", "p", "predicted", "measured", "trials"], point_fn)
+    def check(self, options: dict, rows: list[dict]) -> bool:
+        tol = options.get("max_abs_error")
+        return tol is None or all(abs(r["measured"] - r["predicted"]) <= float(tol) for r in rows)
+
+
+class _MatchedIsd(_Experiment):
+    columns = ("n", "q", "p", "problem", "algorithm", "median_iterations", "success_rate")
+    point_keys = {"n": int, "q": float}
+    options = {"max_iters": int, "pair_at_most_plain": bool, "svg": object}
+    plot = ("q", ("median_iterations",), ("problem", "algorithm"))
+
+    def parse_point(self, n: int, q: float) -> tuple[int, float, float]:
+        from .pke import matched_noise
+
+        q = float(q)
+        return _positive(n, "n"), q, matched_noise(q)
+
+    def run_point(self, spec: ExperimentSpec, point: tuple, rng: Rng) -> list[dict]:
+        from .attacks import pair_aware_isd, prange_isd
+        from .sampling import gen_lpn, gen_symplpn
+
+        n, q, p = point
+        max_iters = int(spec.options.get("max_iters", 100_000))
+        results: dict[tuple[str, str], list] = {}
+        for _ in range(spec.trials):
+            lpn_inst = gen_lpn(rng, n, 2 * n, q, structured=True)
+            symp_inst = gen_symplpn(rng, n, n, p, structured=True)
+            for problem, inst in (("lpn", lpn_inst), ("symplpn", symp_inst)):
+                for algo, attack in (("prange", prange_isd), ("pair", pair_aware_isd)):
+                    results.setdefault((problem, algo), []).append(attack(rng, inst, max_iters))
+        rows = []
+        for (problem, algo), runs in sorted(results.items()):
+            iters = sorted(res.iterations for res in runs)
+            median, rate = iters[len(iters) // 2], sum(res.success for res in runs) / spec.trials
+            rows.append(dict(zip(self.columns, (n, q, p, problem, algo, median, rate))))
+        return rows
+
+    def check(self, options: dict, rows: list[dict]) -> bool:
+        """pair_at_most_plain: pair-aware's median is at most prange's on symplpn."""
+        if not options.get("pair_at_most_plain"):
+            return True
+        symplpn = [r for r in rows if r["problem"] == "symplpn"]
+        median = {r["algorithm"]: r["median_iterations"] for r in symplpn}
+        return median["pair"] <= median["prange"]
+
+
+_EXPERIMENTS = {"decryption_curve": _DecryptionCurve(), "matched_isd": _MatchedIsd()}
+
+
+def run_decryption_curve(spec: ExperimentSpec) -> list[dict]:
+    """Measured vs predicted decryption success on an (n, p) grid; emits CSV.
+
+    options.encs_per_key controls how many encryptions reuse one keypair
+    (default 1: a fresh keypair per trial).
+    """
+    return _run_grid(spec, _EXPERIMENTS["decryption_curve"])[0]
 
 
 def run_matched_isd_benchmark(spec: ExperimentSpec) -> list[dict]:
@@ -280,82 +348,20 @@ def run_matched_isd_benchmark(spec: ExperimentSpec) -> list[dict]:
     (problem, algorithm) with the median iteration count over spec.trials
     planted instances.
     """
-    from .attacks import pair_aware_isd, prange_isd
-    from .pke import matched_noise
-    from .sampling import gen_lpn, gen_symplpn
-
-    def point_fn(point: dict, rng: Rng) -> list[dict]:
-        n = int(point["n"])
-        q = float(point["q"])
-        p = matched_noise(q)
-        max_iters = int(point.get("max_iters", spec.options.get("max_iters", 100_000)))
-        table: dict[tuple[str, str], list[int]] = {}
-        success: dict[tuple[str, str], int] = {}
-        for i in range(spec.trials):
-            lpn_inst = gen_lpn(rng, n, 2 * n, q, structured=True)
-            symp_inst = gen_symplpn(rng, n, n, p, structured=True)
-            for problem, inst in (("lpn", lpn_inst), ("symplpn", symp_inst)):
-                for algo, attack in (("prange", prange_isd), ("pair", pair_aware_isd)):
-                    res = attack(rng, inst, max_iters)
-                    key = (problem, algo)
-                    table.setdefault(key, []).append(res.iterations)
-                    success[key] = success.get(key, 0) + res.success
-        rows = []
-        for (problem, algo), iters in sorted(table.items()):
-            iters.sort()
-            rows.append(
-                {
-                    "n": n,
-                    "q": q,
-                    "p": p,
-                    "problem": problem,
-                    "algorithm": algo,
-                    "median_iterations": iters[len(iters) // 2],
-                    "success_rate": success[(problem, algo)] / spec.trials,
-                }
-            )
-        return rows
-
-    return _run_grid(
-        spec,
-        ["n", "q", "p", "problem", "algorithm", "median_iterations", "success_rate"],
-        point_fn,
-    )
-
-
-def _maybe_render_svg(spec: ExperimentSpec, rows: list[dict]) -> None:
-    opt = spec.options.get("svg")
-    if not opt:
-        return
-    from .plot import render_line_chart
-
-    out = opt if isinstance(opt, str) else spec.out + ".svg"
-    if spec.name == "decryption_curve":
-        render_line_chart(rows, "p", ["predicted", "measured"], out)
-    else:
-        tagged = [dict(r, case=f"{r['problem']}/{r['algorithm']}") for r in rows]
-        render_line_chart(tagged, "q", ["median_iterations"], out, series="case")
+    return _run_grid(spec, _EXPERIMENTS["matched_isd"])[0]
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[dict], bool]:
-    """Dispatch an experiment by name; returns (rows, all assertions passed)."""
-    if spec.name == "decryption_curve":
-        rows = run_decryption_curve(spec)
-        ok = True
-        tol = spec.options.get("max_abs_error")
-        if tol is not None:
-            ok = all(abs(r["measured"] - r["predicted"]) <= float(tol) for r in rows)
-    elif spec.name == "matched_isd":
-        rows = run_matched_isd_benchmark(spec)
-        ok = True
-        if spec.options.get("pair_at_most_plain"):
-            by_key = {(r["problem"], r["algorithm"]): r["median_iterations"] for r in rows}
-            ok = all(
-                by_key[("symplpn", "pair")] <= by_key[("symplpn", "prange")]
-                for r in rows
-                if r["problem"] == "symplpn"
-            )
-    else:
-        raise ValueError(f"unknown experiment {spec.name!r}")
-    _maybe_render_svg(spec, rows)
+    """Run the experiment the spec names; returns (rows, all assertions passed).
+    Option ``svg`` also draws the rows, to that path or to ``out`` + ".svg"."""
+    experiment = _experiment(spec.name)
+    rows, ok = _run_grid(spec, experiment)
+    svg = spec.options.get("svg")
+    if svg:
+        from .plot import render_line_chart
+
+        x, ys, series = experiment.plot
+        tagged = [dict(r, series="/".join(str(r[c]) for c in series)) for r in rows]
+        out = svg if isinstance(svg, str) else spec.out + ".svg"
+        render_line_chart(tagged, x, ys, out, series="series")
     return rows, ok

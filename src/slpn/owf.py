@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf2 import BitMat, BitVec, IsotropicCode, SympVec, rank
+from .gf2 import BitMat, BitVec, IsotropicCode, SympVec, rank, read_fields
 from .sampling import Rng, sample_depolarizing, sample_lsn_matrices
 
 __all__ = [
@@ -47,13 +47,8 @@ class OwfIndex:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OwfIndex":
-        idx = cls(
-            int(obj["n"]),
-            int(obj["k"]),
-            float(obj["p"]),
-            IsotropicCode.from_json(obj["a"]),
-            IsotropicCode.from_json(obj["b"]),
-        )
+        n, k, p, a, b = read_fields(obj, "owf index", n=int, k=int, p=float, a=dict, b=dict)
+        idx = cls(n, k, float(p), IsotropicCode.from_json(a), IsotropicCode.from_json(b))
         if rank(idx.joint()) != idx.n + idx.k:
             raise ValueError("matrices are not jointly full rank")
         return idx
@@ -70,12 +65,9 @@ class OwfInput:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OwfInput":
-        e = BitVec.from_json(obj["e"])
-        return cls(
-            BitVec.from_json(obj["r"]),
-            BitVec.from_json(obj["y"]),
-            SympVec(e.nbits // 2, e),
-        )
+        r, y, e = read_fields(obj, "owf input", r=dict, y=dict, e=dict)
+        e = BitVec.from_json(e)
+        return cls(BitVec.from_json(r), BitVec.from_json(y), SympVec(e.nbits // 2, e))
 
 
 def weight_cap(index: OwfIndex) -> int:

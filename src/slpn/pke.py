@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf2 import BitVec, IsotropicCode, SympVec, symp_inner, symp_vec_mat
+from .gf2 import BitVec, IsotropicCode, SympVec, read_fields, symp_inner, symp_vec_mat
 from .sampling import Rng, sample_depolarizing, sample_isotropic
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "predict_success",
     "matched_noise",
     "pick_p_for_success",
+    "parse_p",
 ]
 
 
@@ -42,12 +43,12 @@ class PublicKey:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PublicKey":
-        a = IsotropicCode.from_json(obj["a"])
-        b = BitVec.from_json(obj["b"])
-        n = int(obj["n"])
+        n, p, a, b = read_fields(obj, "public key", n=int, p=float, a=dict, b=dict)
+        a = IsotropicCode.from_json(a)
+        b = BitVec.from_json(b)
         if a.n != n or a.k != n or b.nbits != 2 * n:
             raise ValueError("inconsistent public key")
-        return cls(n, float(obj["p"]), a, b)
+        return cls(n, float(p), a, b)
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,11 @@ class SecretKey:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SecretKey":
-        x = BitVec.from_json(obj["x"])
-        if x.nbits != int(obj["n"]):
+        n, x = read_fields(obj, "secret key", n=int, x=dict)
+        x = BitVec.from_json(x)
+        if x.nbits != n:
             raise ValueError("inconsistent secret key")
-        return cls(int(obj["n"]), x)
+        return cls(n, x)
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,10 @@ class Ciphertext:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Ciphertext":
-        c = int(obj["c"])
+        u, c = read_fields(obj, "ciphertext", u=dict, c=int)
         if c not in (0, 1):
             raise ValueError("ciphertext bit out of range")
-        return cls(BitVec.from_json(obj["u"]), c)
+        return cls(BitVec.from_json(u), c)
 
 
 def gen(rng: Rng, n: int, p: float) -> tuple[PublicKey, SecretKey]:
@@ -89,8 +91,7 @@ def gen(rng: Rng, n: int, p: float) -> tuple[PublicKey, SecretKey]:
 
 def gen_traced(rng: Rng, n: int, p: float) -> tuple[PublicKey, SecretKey, SympVec]:
     """Key generation that also returns the key-noise e, for white-box checks."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p out of range")
+    check_p(p)
     a = sample_isotropic(rng, n, n)
     x = rng.bits(n)
     e = sample_depolarizing(rng, n, p)
@@ -158,3 +159,22 @@ def pick_p_for_success(n: int, target: float) -> float:
         else:
             hi = mid
     return (lo + hi) / 2.0
+
+
+def check_p(p: float) -> float:
+    """p itself when key generation can use it, 0 < p < 1; ValueError otherwise."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p out of range")
+    return p
+
+
+def parse_p(raw, n: int) -> float:
+    """A key-noise rate written as a number or as ``auto:<target>`` (the rate at
+    which decryption at length n succeeds with probability target); ValueError
+    naming p unless the rate passes ``check_p``."""
+    try:
+        if isinstance(raw, str) and raw.startswith("auto:"):
+            return check_p(pick_p_for_success(n, float(raw[len("auto:") :])))
+        return check_p(float(raw))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"p = {raw!r}: {exc}") from None

@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 __all__ = ["render_line_chart", "render_csv"]
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+WIDTH, HEIGHT = 640, 420  # pixel size of every chart
 
 
 def render_line_chart(
@@ -16,8 +17,6 @@ def render_line_chart(
     ys: Sequence[str],
     out_path: str,
     series: Optional[str] = None,
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """Write a plain SVG with one polyline per y column (and per series value)."""
     groups: dict[str, list[dict]] = {}
@@ -45,17 +44,17 @@ def render_line_chart(
     pad, legend_h = 50, 16 * len(curves)
 
     def sx(v):
-        return pad + (v - x0) / (x1 - x0) * (width - 2 * pad)
+        return pad + (v - x0) / (x1 - x0) * (WIDTH - 2 * pad)
 
     def sy(v):
-        return height - pad - (v - y0) / (y1 - y0) * (height - 2 * pad - legend_h)
+        return HEIGHT - pad - (v - y0) / (y1 - y0) * (HEIGHT - 2 * pad - legend_h)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{pad}" y2="{pad + legend_h}" stroke="black"/>',
-        f'<text x="{width - pad}" y="{height - pad + 30}" text-anchor="end" font-size="11">{x}: {x0:g} .. {x1:g}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<line x1="{pad}" y1="{HEIGHT - pad}" x2="{WIDTH - pad}" y2="{HEIGHT - pad}" stroke="black"/>',
+        f'<line x1="{pad}" y1="{HEIGHT - pad}" x2="{pad}" y2="{pad + legend_h}" stroke="black"/>',
+        f'<text x="{WIDTH - pad}" y="{HEIGHT - pad + 30}" text-anchor="end" font-size="11">{x}: {x0:g} .. {x1:g}</text>',
         f'<text x="{pad - 40}" y="{pad + legend_h - 8}" font-size="11">{y0:g} .. {y1:g}</text>',
     ]
     for i, (label, pts) in enumerate(curves):

@@ -22,6 +22,7 @@ from .gf2 import (
     incremental_dual,
     is_isotropic,
     rank,
+    read_fields,
     swap_halves,
 )
 
@@ -229,10 +230,12 @@ class Instance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
-        kind = InstanceKind(obj["kind"])
-        k, n = int(obj["k"]), int(obj["n"])
-        matrix = BitMat.from_json(obj["matrix"])
-        word = BitVec.from_json(obj["word"])
+        kind, k, n, p, matrix, word = read_fields(
+            obj, "instance", kind=str, k=int, n=int, p=float, matrix=dict, word=dict
+        )
+        kind = InstanceKind(kind)
+        matrix = BitMat.from_json(matrix)
+        word = BitVec.from_json(word)
         shape = {
             InstanceKind.LPN: (n, k),
             InstanceKind.SYMPLPN: (2 * n, k),
@@ -243,8 +246,6 @@ class Instance:
                 f"{kind.value} matrix is {matrix.nrows}x{matrix.ncols}, "
                 f"expected {shape[0]}x{shape[1]} for k={k}, n={n}"
             )
-        if word.nbits != matrix.nrows:
-            raise ValueError("word length does not match matrix rows")
         if kind is InstanceKind.SYMPLPN and not is_isotropic(matrix):
             raise ValueError("matrix is not isotropic")
         if kind is InstanceKind.LSN:
@@ -257,12 +258,13 @@ class Instance:
         witness = None
         if "witness" in obj:
             w = obj["witness"]
+            (structured,) = read_fields(w, "witness", structured=bool)
             witness = Witness(
-                structured=bool(w["structured"]),
+                structured=structured,
                 secret=BitVec.from_json(w["secret"]) if "secret" in w else None,
                 error=BitVec.from_json(w["error"]) if "error" in w else None,
             )
-        return cls(kind, matrix, word, k, n, float(obj["p"]), witness)
+        return cls(kind, matrix, word, k, n, float(p), witness)
 
 
 def gen_symplpn(
@@ -334,10 +336,6 @@ class HyperplaneRotation:
     c: BitMat
     r: BitVec
     k_pair: Optional[int]
-
-    @property
-    def is_identity_fallback(self) -> bool:
-        return self.k_pair is None
 
     @classmethod
     def from_vector(cls, r: BitVec) -> "HyperplaneRotation":

@@ -22,11 +22,13 @@ from .gf2 import (
     incremental_dual,
     is_isotropic,
     rank,
+    read_fields,
     swap_halves,
     xor_rows,
 )
 from .gf2 import _kernel_ints
-from .pke import Ciphertext, PublicKey, SecretKey, dec as _pke_dec, enc_traced as _pke_enc_traced
+from .pke import Ciphertext, PublicKey, SecretKey, check_p
+from .pke import dec as _pke_dec, enc_traced as _pke_enc_traced
 from .sampling import Rng, sample_depolarizing
 
 __all__ = [
@@ -179,12 +181,12 @@ class SuPublicKey:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuPublicKey":
-        n = int(obj["n"])
-        seed = Seed.from_hex(n, obj["seed_hex"])
-        b = BitVec.from_json(obj["b"])
+        n, p, seed_hex, b = read_fields(obj, "public key", n=int, p=float, seed_hex=str, b=dict)
+        seed = Seed.from_hex(n, seed_hex)
+        b = BitVec.from_json(b)
         if b.nbits != 2 * n:
             raise ValueError("inconsistent public key")
-        return cls(n, float(obj["p"]), seed, b)
+        return cls(n, float(p), seed, b)
 
 
 def su_gen(rng: Rng, n: int, p: float) -> tuple[SuPublicKey, SecretKey]:
@@ -193,8 +195,7 @@ def su_gen(rng: Rng, n: int, p: float) -> tuple[SuPublicKey, SecretKey]:
 
 
 def su_gen_traced(rng: Rng, n: int, p: float) -> tuple[SuPublicKey, SecretKey, SympVec]:
-    if not 0.0 < p < 1.0:
-        raise ValueError("p out of range")
+    check_p(p)
     seed = Seed(rng.bits(4 * n * n))
     a = expand(seed)
     x = rng.bits(n)

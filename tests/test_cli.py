@@ -198,6 +198,17 @@ def test_attack_threads_flag_is_gone(tmp_path, capsys):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+CURVE_SPEC = {"name": "decryption_curve", "grid": [{"n": 8, "p": 0.01}], "trials": 10,
+              "seed": 1, "out": "c.csv"}
+ISD_SPEC = {"name": "matched_isd", "grid": [{"n": 8, "q": 0.01}], "trials": 1, "seed": 1,
+            "out": "c.csv"}
+
+
+def _curve_second_point(**point):
+    # a good first point, so a check made only while running would leave its row
+    return dict(CURVE_SPEC, grid=CURVE_SPEC["grid"] + [point])
+
+
 @pytest.mark.parametrize(
     "spec, field",
     [
@@ -208,8 +219,18 @@ def test_attack_threads_flag_is_gone(tmp_path, capsys):
           "out": "c.csv", "options": [1]}, "options"),
         ({"name": "decryption_curve", "grid": [{"n": 8, "p": 0.01}], "trials": "a", "seed": 1,
           "out": "c.csv"}, "trials"),
+        (dict(CURVE_SPEC, name="decryption_curv"), "name 'decryption_curv'"),
+        (dict(CURVE_SPEC, options={"max_abs_eror": 0.05}), "max_abs_eror"),
+        (_curve_second_point(n=8), "grid[1] is missing p"),
+        (_curve_second_point(n=8, p=2.0), "grid[1]: p = 2.0"),
+        (_curve_second_point(n=8, p="auto:1.5"), "grid[1]: p = 'auto:1.5'"),
+        (dict(ISD_SPEC, grid=[{"n": 8, "q": 0.9}]), "q out of range"),
+        (_curve_second_point(n=0, p=0.01), "n must be at least 1"),
+        (dict(ISD_SPEC, grid=[{"n": 8, "q": 0.01, "max_iters": 5}]), "max_iters"),
     ],
-    ids=["no-grid", "grid-entry-int", "options-list", "trials-str"],
+    ids=["no-grid", "grid-entry-int", "options-list", "trials-str", "unknown-name",
+         "misspelt-option", "point-without-p", "p-2", "p-auto-1.5", "q-0.9", "n-0",
+         "point-max-iters"],
 )
 def test_experiment_bad_spec_exits_2(tmp_path, monkeypatch, capsys, spec, field):
     monkeypatch.chdir(tmp_path)
@@ -219,3 +240,4 @@ def test_experiment_bad_spec_exits_2(tmp_path, monkeypatch, capsys, spec, field)
     assert captured.out == ""
     assert field in captured.err
     assert not (tmp_path / "c.csv").exists()
+    assert not (tmp_path / "c.csv.manifest.json").exists()

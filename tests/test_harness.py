@@ -323,6 +323,39 @@ def test_run_experiment_dispatch_and_assertions(tmp_path):
         run_experiment(bad)
 
 
+def test_pair_at_most_plain_checks_every_point(tmp_path, monkeypatch):
+    import slpn.attacks as attacks
+
+    def fake_attack(iterations_by_k):
+        def attack(rng, inst, max_iters):
+            return attacks.AttackResult(True, None, None, iterations_by_k[inst.matrix.ncols], 0.0)
+
+        return attack
+
+    # pair-aware needs more iterations than prange at the first point only
+    monkeypatch.setattr(attacks, "prange_isd", fake_attack({8: 4, 9: 4}))
+    monkeypatch.setattr(attacks, "pair_aware_isd", fake_attack({8: 9, 9: 1}))
+    spec = ExperimentSpec(
+        name="matched_isd",
+        grid=({"n": 8, "q": 0.01}, {"n": 9, "q": 0.01}),
+        trials=1,
+        seed=2,
+        out=str(tmp_path / "isd.csv"),
+        options={"pair_at_most_plain": True},
+    )
+    rows, ok = run_experiment(spec)
+    medians = [(r["n"], r["algorithm"], r["median_iterations"]) for r in rows
+               if r["problem"] == "symplpn"]
+    assert medians == [(8, "pair", 9), (8, "prange", 4), (9, "pair", 1), (9, "prange", 4)]
+    assert not ok
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SPECS))
+def test_spec_from_json_accepts_pinned_specs(key):
+    spec = ExperimentSpec(**PINNED_SPECS[key])
+    assert ExperimentSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
 def test_failed_run_keeps_finished_rows_and_no_manifest(tmp_path):
     import csv
 
@@ -366,9 +399,14 @@ def _spec_json(**changes):
         ({"trials": "a"}, "trials"),
         ({"seed": None}, "seed"),
         ({"out": 5}, "out"),
+        ({"options": {"encs_per_key": 0}}, "encs_per_key must be at least 1"),
+        ({"options": {"max_abs_error": "0.05"}}, "max_abs_error must be float"),
+        ({"trials": 10.0}, "trials must be int"),
+        ({"option": {"max_abs_error": 0.05}}, "unknown keys option"),
     ],
     ids=["no-grid", "no-trials-seed", "grid-entry-int", "grid-object", "options-list",
-         "trials-str", "no-seed", "out-int"],
+         "trials-str", "no-seed", "out-int", "encs-per-key-0", "tolerance-str",
+         "trials-float", "misspelt-options-key"],
 )
 def test_spec_from_json_rejects_bad_fields(changes, field):
     with pytest.raises(ValueError, match=field):

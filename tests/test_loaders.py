@@ -1,0 +1,182 @@
+"""Every JSON loader: round trips, and ValueError for anything malformed."""
+import json
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from slpn.gf2 import BitMat, BitVec, IsotropicCode
+from slpn.owf import OwfIndex, OwfInput, owf_gen, owf_sample
+from slpn.pke import Ciphertext, PublicKey, SecretKey, enc, gen
+from slpn.sampling import Instance, Rng, gen_lpn, gen_lsn, gen_symplpn, sample_isotropic
+from slpn.supke import Seed, SuPublicKey, su_gen
+
+
+def _instance(rng: Rng, n: int) -> Instance:
+    keep, structured = rng.bit(), rng.bit()
+    kind = rng.integer(3)
+    if kind == 0:
+        return gen_lpn(rng, n, 2 * n, 0.1, structured, keep)
+    if kind == 1:
+        return gen_symplpn(rng, n, n, 0.1, structured, keep)
+    return gen_lsn(rng, n // 2, n, 0.1, keep)
+
+
+# One valid object per loader, from a stream and a size n >= 2.
+MAKERS = {
+    BitVec: lambda rng, n: rng.bits(3 * n - 1),
+    BitMat: lambda rng, n: rng.bitmat(n, 2 * n + 1),
+    IsotropicCode: lambda rng, n: IsotropicCode.trusted(sample_isotropic(rng, n, n - 1)),
+    PublicKey: lambda rng, n: gen(rng, n, 0.1)[0],
+    SecretKey: lambda rng, n: gen(rng, n, 0.1)[1],
+    Ciphertext: lambda rng, n: enc(rng, gen(rng, n, 0.1)[0], rng.bit()),
+    SuPublicKey: lambda rng, n: su_gen(rng, n, 0.1)[0],
+    OwfIndex: lambda rng, n: owf_gen(rng, n // 2, n, 0.1),
+    OwfInput: lambda rng, n: owf_sample(rng, owf_gen(rng, n // 2, n, 0.1)),
+    Instance: lambda rng, n: _instance(rng, n),
+}
+LOADERS = list(MAKERS)
+OPTIONAL_KEYS = {"witness", "secret", "error"}  # Instance's witness and its parts
+
+
+def _payload(cls, seed: int = 5, n: int = 5) -> dict:
+    obj = MAKERS[cls](Rng(seed), n)
+    if isinstance(obj, Instance):
+        obj = obj.without_witness()
+    return obj.to_json()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"len": 4, "hex": "ff"},
+        {"len": 4, "hex": "01ff"},
+        {"len": 12, "hex": "ff"},
+        {"len": 4.7, "hex": "0f"},
+    ],
+    ids=["bits-past-len", "byte-too-many", "byte-too-few", "float-len"],
+)
+def test_bitvec_from_json_rejects_bad_payload(payload):
+    with pytest.raises(ValueError):
+        BitVec.from_json(payload)
+
+
+def test_seed_from_hex_rejects_bits_past_its_length():
+    with pytest.raises(ValueError, match="trailing bits"):
+        Seed.from_hex(1, "ff")
+    assert Seed.from_hex(1, "0f").bits == BitVec(4, 0xF)
+
+
+@pytest.mark.parametrize("cls", LOADERS, ids=lambda cls: cls.__name__)
+def test_loader_rejects_missing_keys_and_non_objects(cls):
+    payload = _payload(cls)
+    for key in payload:
+        broken = {k: v for k, v in payload.items() if k != key}
+        with pytest.raises(ValueError, match=f"missing {key}"):
+            cls.from_json(broken)
+    with pytest.raises(ValueError, match="JSON object"):
+        cls.from_json([payload])
+
+
+INT_FIELDS = [
+    (cls, key) for cls in LOADERS for key, value in _payload(cls).items() if type(value) is int
+]
+
+
+@pytest.mark.parametrize(
+    "cls, key", INT_FIELDS, ids=[f"{cls.__name__}-{key}" for cls, key in INT_FIELDS]
+)
+def test_loader_int_fields_refuse_bool_float_and_str(cls, key):
+    payload = _payload(cls)
+    for bad in (float(payload[key]), str(payload[key]), payload[key] == 1):
+        with pytest.raises(ValueError, match=key):
+            cls.from_json(dict(payload, **{key: bad}))
+
+
+# (loader, stream seed, size) for a generated valid object
+VALID = st.tuples(st.sampled_from(LOADERS), st.integers(0, 2**32 - 1), st.integers(2, 7))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(VALID)
+def test_loader_round_trips(case):
+    cls, seed, n = case
+    obj = MAKERS[cls](Rng(seed), n)
+    assert cls.from_json(json.loads(json.dumps(obj.to_json()))) == obj
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(LOADERS), JSON_VALUES)
+def test_loader_raises_only_value_error_on_arbitrary_json(cls, value):
+    try:
+        cls.from_json(value)
+    except ValueError:
+        pass
+
+
+def _paths(node, path=()):
+    """The key path of every value inside a payload, depth first."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _paths(value, path + (key,))
+
+
+def _parent(payload: dict, path: tuple) -> dict:
+    for key in path[:-1]:
+        payload = payload[key]
+    return payload
+
+
+def _hex_width(payload: dict, path: tuple) -> int:
+    """Bit width of each row of the hex string at ``path``."""
+    parent = _parent(payload, path)
+    if path[-1] == "seed_hex":
+        return 4 * parent["n"] ** 2
+    return parent["len"] if "len" in parent else parent["cols"]
+
+
+def _swapped(value):
+    """A value of another JSON kind than ``value``."""
+    if isinstance(value, str):
+        return len(value)
+    return str(value)
+
+
+def _set_padding_bit(parent, key):
+    parent[key] = parent[key][:-2] + f"{int(parent[key][-2:], 16) | 0x80:02x}"
+
+
+MUTATIONS = {
+    "drop-key": lambda parent, key: parent.pop(key),
+    "swap-kind": lambda parent, key: parent.__setitem__(key, _swapped(parent[key])),
+    "padding-bit": _set_padding_bit,
+    "hex-byte-short": lambda parent, key: parent.__setitem__(key, parent[key][:-2]),
+    "hex-byte-long": lambda parent, key: parent.__setitem__(key, parent[key] + "00"),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(VALID, st.sampled_from(sorted(MUTATIONS)), st.data())
+def test_loader_rejects_mutated_payloads(case, mutation, data):
+    cls, seed, n = case
+    payload = MAKERS[cls](Rng(seed), n).to_json()
+    sites = list(_paths(payload))
+    if mutation == "drop-key":
+        sites = [path for path in sites if path[-1] not in OPTIONAL_KEYS]
+    elif mutation != "swap-kind":
+        sites = [path for path in sites if path[-1] in ("hex", "seed_hex")]
+    if mutation == "padding-bit":
+        sites = [path for path in sites if _hex_width(payload, path) % 8]
+    assume(sites)
+    path = data.draw(st.sampled_from(sites))
+    MUTATIONS[mutation](_parent(payload, path), path[-1])
+    with pytest.raises(ValueError):
+        cls.from_json(payload)
