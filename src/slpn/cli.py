@@ -146,11 +146,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        spec = ExperimentSpec.from_json(_read_json(args.spec))
-    except ValueError as exc:
-        print(f"slpn experiment: {exc}", file=sys.stderr)
-        return 2
+    spec = ExperimentSpec.from_json(_read_json(args.spec))
     rows, ok = run_experiment(spec)
     print(json.dumps({"rows": len(rows), "out": spec.out, "assertions_ok": ok}))
     return 0 if ok else 1
@@ -249,8 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. Bad input (a malformed JSON file, a value out of
+    range) is reported as ``slpn <command>: <message>`` on stderr, exit 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"slpn {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,8 +31,6 @@ __all__ = [
     "chi_square_stat",
     "advantage_interval",
     "advantage",
-    "run_decryption_curve",
-    "run_matched_isd_benchmark",
     "run_experiment",
 ]
 
@@ -256,6 +254,9 @@ def _run_grid(spec: ExperimentSpec, experiment: _Experiment) -> tuple[list[dict]
 
 
 class _DecryptionCurve(_Experiment):
+    """Measured vs predicted decryption success on an (n, p) grid, with
+    ``encs_per_key`` encryptions per keypair (default 1)."""
+
     columns = ("n", "p", "predicted", "measured", "trials")
     point_keys = {"n": int, "p": object}
     options = {"encs_per_key": int, "max_abs_error": float, "svg": object}
@@ -287,6 +288,9 @@ class _DecryptionCurve(_Experiment):
 
 
 class _MatchedIsd(_Experiment):
+    """Median prange and pair-aware iterations on Bernoulli instances at rate
+    q (2n samples) against pair-noise instances at the matched rate."""
+
     columns = ("n", "q", "p", "problem", "algorithm", "median_iterations", "success_rate")
     point_keys = {"n": int, "q": float}
     options = {"max_iters": int, "pair_at_most_plain": bool, "svg": object}
@@ -328,27 +332,6 @@ class _MatchedIsd(_Experiment):
 
 
 _EXPERIMENTS = {"decryption_curve": _DecryptionCurve(), "matched_isd": _MatchedIsd()}
-
-
-def run_decryption_curve(spec: ExperimentSpec) -> list[dict]:
-    """Measured vs predicted decryption success on an (n, p) grid; emits CSV.
-
-    options.encs_per_key controls how many encryptions reuse one keypair
-    (default 1: a fresh keypair per trial).
-    """
-    return _run_grid(spec, _EXPERIMENTS["decryption_curve"])[0]
-
-
-def run_matched_isd_benchmark(spec: ExperimentSpec) -> list[dict]:
-    """Decoding effort on plain-parity vs symplectic instances at matched noise.
-
-    For each grid point {n, q}: Bernoulli instances at rate q with 2n samples
-    against pair-noise instances at the success-matched rate, attacked by the
-    plain and the pair-aware information-set decoders. Emits one CSV row per
-    (problem, algorithm) with the median iteration count over spec.trials
-    planted instances.
-    """
-    return _run_grid(spec, _EXPERIMENTS["matched_isd"])[0]
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[dict], bool]:

@@ -17,6 +17,7 @@ from . import diagnostics
 from .gf2 import (
     BitMat,
     BitVec,
+    SympVec,
     permute_pairs,
     permute_rows_pairs,
     rank,
@@ -30,6 +31,7 @@ from .sampling import (
     Instance,
     InstanceKind,
     Rng,
+    gen_lsn,
     gen_symplpn,
 )
 
@@ -167,8 +169,6 @@ def symmetrize_noise(rng: Rng, vec, noisy_pairs: Iterable[int], n: int):
     perm = rng.permutation(n)
     out = permute_pairs(noised, perm)
     if hasattr(vec, "v"):
-        from .gf2 import SympVec
-
         return SympVec(n, out), perm
     return out, perm
 
@@ -331,8 +331,6 @@ def measure_lsn_reduction(
 
     ``advantage`` is the success rate minus the 1/2^k guessing baseline.
     """
-    from .sampling import gen_lsn
-
     successes = 0
     for _ in range(trials):
         inst = gen_lsn(rng, k, n, p, keep_witness=True)

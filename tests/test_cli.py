@@ -48,6 +48,25 @@ def test_keygen_auto_p(tmp_path):
     assert abs(obj["p"] - pick_p_for_success(64, 0.75)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decrypt", "--sk", "f.json", "--ct", "f.json"],
+         "slpn decrypt: secret key must be a JSON object, got list"),
+        (["keygen", "--n", "8", "--p", "2.0"], "slpn keygen: p = '2.0': p out of range"),
+    ],
+    ids=["decrypt-list-file", "keygen-p-2"],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text("[1]")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+    assert not (tmp_path / "pk.json").exists()
+
+
 def test_su_roundtrip(tmp_path, capsys):
     pk = tmp_path / "pk.json"
     sk = tmp_path / "sk.json"

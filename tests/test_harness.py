@@ -13,9 +13,7 @@ from slpn.harness import (
     advantage_interval,
     chi_square_stat,
     empirical_tv,
-    run_decryption_curve,
     run_experiment,
-    run_matched_isd_benchmark,
     wilson_interval,
 )
 from slpn.reductions import Branch, measure_drop_bit
@@ -158,7 +156,7 @@ def test_decryption_curve(tmp_path):
         out=str(out),
         options={"encs_per_key": 3},
     )
-    rows = run_decryption_curve(spec)
+    rows = run_experiment(spec)[0]
     assert len(rows) == 2
     assert rows[0]["measured"] == 1.0  # essentially noiseless
     assert abs(rows[1]["measured"] - rows[1]["predicted"]) < 0.08
@@ -180,7 +178,7 @@ def test_decryption_curve_csv_roundtrip(tmp_path):
         seed=9,
         out=str(out),
     )
-    rows = run_decryption_curve(spec)
+    rows = run_experiment(spec)[0]
     with out.open(newline="") as fh:
         back = list(csv.DictReader(fh))
     assert len(back) == len(rows)
@@ -215,8 +213,8 @@ def test_decryption_curve_reproducible(tmp_path):
     )
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    run_decryption_curve(ExperimentSpec(out=str(a), **spec_args))
-    run_decryption_curve(ExperimentSpec(out=str(b), **spec_args))
+    run_experiment(ExperimentSpec(out=str(a), **spec_args))
+    run_experiment(ExperimentSpec(out=str(b), **spec_args))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -279,7 +277,7 @@ def test_matched_isd_benchmark(tmp_path):
         out=str(out),
         options={"max_iters": 20000},
     )
-    rows = run_matched_isd_benchmark(spec)
+    rows = run_experiment(spec)[0]
     assert len(rows) == 4  # two problems x two algorithms
     keyed = {(r["problem"], r["algorithm"]): r for r in rows}
     assert keyed[("symplpn", "pair")]["success_rate"] == 1.0
@@ -297,7 +295,7 @@ def test_matched_isd_zero_noise_single_iteration(tmp_path):
         out=str(out),
         options={"max_iters": 5000},
     )
-    rows = run_matched_isd_benchmark(spec)
+    rows = run_experiment(spec)[0]
     for row in rows:
         assert row["success_rate"] == 1.0
         # with no noise the first full-rank set wins; each set is full rank
@@ -368,16 +366,16 @@ def test_failed_run_keeps_finished_rows_and_no_manifest(tmp_path):
         out=str(out),
     )
     with pytest.raises(ValueError, match="p out of range"):
-        run_decryption_curve(spec)
+        run_experiment(spec)
     with out.open(newline="") as fh:
         back = list(csv.DictReader(fh))
     assert [(r["n"], r["p"], r["trials"]) for r in back] == [("16", "0.05", "20")]
     assert not (tmp_path / "partial.csv.manifest.json").exists()
     # the finished row is the one a complete run writes for that point
-    whole = run_decryption_curve(
+    whole = run_experiment(
         ExperimentSpec(name="decryption_curve", grid=spec.grid[:1], trials=20, seed=3,
                        out=str(tmp_path / "whole.csv"))
-    )
+    )[0]
     assert float(back[0]["measured"]) == whole[0]["measured"]
 
 
