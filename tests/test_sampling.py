@@ -51,6 +51,28 @@ def test_rng_golden_stream():
     assert Rng(42).bits(64).to_hex() == "8ab9daec002f0916"
 
 
+def test_rng_mixed_draw_golden_stream():
+    # bits(c) for every c in 0..70, across the byte edges (8, 9), the 32-bit
+    # word edges (31, 32, 33) and the 64-bit ones (64, 65), each followed by
+    # another kind of draw: a draw that consumes one word more or less than
+    # before shifts everything after it
+    rng = Rng(2024)
+    others = [
+        rng.bit,
+        lambda: rng.integer(1000),
+        rng.random,
+        lambda: rng.binomial(10, 0.3),
+        lambda: rng.permutation(6),
+        lambda: rng.bitmat(3, 5).rows,
+    ]
+    out = []
+    for c in range(71):
+        v = rng.bits(c)
+        out.append((v.nbits, v.value))
+        out.append(others[c % len(others)]())
+    assert _digest(repr(out)) == "f7d983794a552fa9"
+
+
 @pytest.mark.parametrize(
     "n, digest",
     [(4, "0fab7176a28849d3"), (64, "74002034d1dfb979"), (512, "033e22c63b85a78d")],
