@@ -73,7 +73,7 @@ def brute_force_search(instance: Instance) -> tuple[BitVec, BitVec]:
     k = instance.matrix.ncols
     if k > BRUTE_FORCE_LIMIT:
         raise ValueError("secret space too large to enumerate")
-    cols = [c.value for c in instance.matrix.cols()]
+    cols = instance.matrix.transpose().rows
     nrows = instance.matrix.nrows
     current = instance.word.value  # error for x = 0
     best_w = _error_weight(instance.kind, current, nrows)
@@ -247,7 +247,7 @@ def min_distance(code: BitMat, pair_metric: bool = False) -> int:
     if pair_metric and code.nrows % 2:
         raise ValueError("pair metric needs 2n rows")
     n = code.nrows // 2
-    cols = [c.value for c in code.cols()]
+    cols = code.transpose().rows
     best = code.nrows + 1
     current = 0
     gray = 0

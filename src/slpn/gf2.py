@@ -9,6 +9,23 @@ All values are immutable after construction and safe to share across threads.
 The incremental kernels (``EchelonSet`` and the dual basis made by
 ``incremental_dual``) are mutable working state owned by one caller.
 
+The public ``BitVec(...)`` and ``BitMat(...)`` mask every value to its width,
+and assigning an attribute raises. ``BitVec._trusted`` and ``BitMat._trusted``
+set the slots through their member descriptors and skip ``__init__``, the
+mask and the checks, and ``BitMat._trusted_cols`` lays int columns out as
+rows that way and transposes them. They are only for results whose bits fit
+by construction: ``__xor__``, ``flip_bits``, ``matvec``, ``matmul``, the
+transpose, ``from_cols``, ``row_vecs``, ``from_json`` and ``from_hex`` after
+the trailing-bits check, the ``Rng`` draws, the columns of the isotropic and
+LSN samplers, of the hyperplane rotation, of the seed expansion and of the
+drop-bit transform's hyperplane basis. Callers that want the columns as
+ints read ``transpose().rows`` rather than one BitVec per column from
+``cols()``. At n=4 these objects are much of a call's cost: on a 2-core x86
+host (Python 3.11, numpy 2.4) a public ``BitVec`` took 0.8-0.9 us and a
+trusted one 0.4 us, and a drop-bit trial that built 38 BitVecs and 12 BitMats
+through ``__init__`` now builds 5 and 1.4 (``perfbench/run.py --trace 1``,
+``reductions.gf2.bitvec_init.calls`` and ``bitmat_init.calls``).
+
 The symplectic dual of a growing isotropic span is what ``sample_isotropic``
 and the seed expansion spend nearly all their time on: one ``restrict`` per
 accepted column and one ``combine`` per drawn column, each O(dim) row
@@ -89,6 +106,12 @@ __all__ = [
 ]
 
 
+# The most rows a loaded matrix may declare. With a payload, the loading cost
+# follows the payload; a matrix with no columns has none, so this bounds it. The
+# toolkit writes at most 2n rows, and a vector is one row of any length.
+_MAX_ROWS = 1 << 20
+
+
 def _mask(nbits: int) -> int:
     return (1 << nbits) - 1
 
@@ -112,11 +135,20 @@ class BitVec:
     def __init__(self, nbits: int, value: int = 0):
         if nbits < 0:
             raise ValueError("negative length")
-        object.__setattr__(self, "nbits", nbits)
-        object.__setattr__(self, "value", value & _mask(nbits))
+        _set_nbits(self, nbits)
+        _set_value(self, value & _mask(nbits))
 
-    def __setattr__(self, name, val):  # pragma: no cover - guard only
+    def __setattr__(self, name, val):
         raise AttributeError("BitVec is immutable")
+
+    @staticmethod
+    def _trusted(nbits: int, value: int) -> "BitVec":
+        """BitVec(nbits, value) for a value known to fit in nbits bits: no
+        mask and no checks. Internal; see the module docstring for where."""
+        v = _new(BitVec)
+        _set_nbits(v, nbits)
+        _set_value(v, value)
+        return v
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -142,7 +174,8 @@ class BitVec:
     def from_hex(cls, nbits: int, hexstr: str) -> "BitVec":
         """The vector ``to_hex`` writes, decoded as a one-row matrix, so a
         payload of the wrong length or with a bit set past nbits raises ValueError."""
-        return cls(nbits, BitMat.from_json({"rows": 1, "cols": nbits, "hex": hexstr}).rows[0])
+        (row,) = BitMat.from_json({"rows": 1, "cols": nbits, "hex": hexstr}).rows
+        return cls._trusted(nbits, row)
 
     @classmethod
     def from_numpy(cls, bits: np.ndarray) -> "BitVec":
@@ -182,7 +215,7 @@ class BitVec:
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.nbits != other.nbits:
             raise ValueError("length mismatch")
-        return BitVec(self.nbits, self.value ^ other.value)
+        return BitVec._trusted(self.nbits, self.value ^ other.value)
 
     def flip_bits(self, indices: Iterable[int]) -> "BitVec":
         v = self.value
@@ -190,7 +223,7 @@ class BitVec:
             if not 0 <= i < self.nbits:
                 raise IndexError(i)
             v ^= 1 << i
-        return BitVec(self.nbits, v)
+        return BitVec._trusted(self.nbits, v)
 
     def weight(self) -> int:
         return self.value.bit_count()
@@ -236,12 +269,23 @@ class BitMat:
         if len(rows) != nrows:
             raise ValueError("row count mismatch")
         m = _mask(ncols)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", tuple(r & m for r in rows))
+        _set_nrows(self, nrows)
+        _set_ncols(self, ncols)
+        _set_rows(self, tuple(r & m for r in rows))
 
-    def __setattr__(self, name, val):  # pragma: no cover - guard only
+    def __setattr__(self, name, val):
         raise AttributeError("BitMat is immutable")
+
+    @staticmethod
+    def _trusted(nrows: int, ncols: int, rows: tuple[int, ...]) -> "BitMat":
+        """BitMat(nrows, ncols, rows) for a tuple of nrows rows known to fit
+        in ncols bits: no mask and no checks. Internal; see the module
+        docstring for where."""
+        m = _new(BitMat)
+        _set_nrows(m, nrows)
+        _set_ncols(m, ncols)
+        _set_rows(m, rows)
+        return m
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -270,10 +314,13 @@ class BitMat:
                 raise ValueError("ragged columns")
         elif nrows is None:
             nrows = 0
-        if not cols:
-            return cls(nrows, 0, [0] * nrows)
-        laid_as_rows = cls(len(cols), nrows, [c.value for c in cols])
-        return laid_as_rows.transpose()
+        return cls._trusted_cols(nrows, [c.value for c in cols])
+
+    @staticmethod
+    def _trusted_cols(nrows: int, cols: Sequence[int]) -> "BitMat":
+        """The matrix with these int columns, each known to fit in nrows bits:
+        laid out as rows through ``_trusted``, then transposed."""
+        return BitMat._trusted(len(cols), nrows, tuple(cols)).transpose()
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "BitMat":
@@ -294,10 +341,11 @@ class BitMat:
         return BitVec(self.nrows, v)
 
     def cols(self) -> list[BitVec]:
-        return [c for c in self.transpose().row_vecs()]
+        return self.transpose().row_vecs()
 
     def row_vecs(self) -> list[BitVec]:
-        return [BitVec(self.ncols, r) for r in self.rows]
+        nbits, vec = self.ncols, BitVec._trusted
+        return [vec(nbits, r) for r in self.rows]
 
     def to_numpy(self) -> np.ndarray:
         if self.nrows == 0:
@@ -334,14 +382,14 @@ class BitMat:
         out = 0
         for i, r in enumerate(self.rows):
             out |= ((r & xv).bit_count() & 1) << i
-        return BitVec(self.nrows, out)
+        return BitVec._trusted(self.nrows, out)
 
     def matmul(self, other: "BitMat") -> "BitMat":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         # row i of product = XOR of other's rows selected by bits of row i
-        out = [xor_rows(other.rows, r) for r in self.rows]
-        return BitMat(self.nrows, other.ncols, out)
+        out = tuple(xor_rows(other.rows, r) for r in self.rows)
+        return BitMat._trusted(self.nrows, other.ncols, out)
 
     def transpose(self) -> "BitMat":
         return _transpose_bitmat(self)
@@ -375,17 +423,26 @@ class BitMat:
         nrows, ncols, hexstr = read_fields(obj, "bit matrix", rows=int, cols=int, hex=str)
         if nrows < 0 or ncols < 0:
             raise ValueError("negative shape")
+        if nrows > _MAX_ROWS:
+            raise ValueError(f"{nrows} rows is more than the {_MAX_ROWS} a matrix may have")
         data = bytes.fromhex(hexstr)
         nbytes = (ncols + 7) // 8
         if len(data) != nrows * nbytes:
             raise ValueError("payload length mismatch")
+        if not nbytes:  # no payload: the cost follows nrows alone
+            return cls._trusted(nrows, ncols, (0,) * nrows)
         rows = [
             int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "little")
             for i in range(nrows)
         ]
         if any(r >> ncols for r in rows):
             raise ValueError("trailing bits set")
-        return cls(nrows, ncols, rows)
+        return cls._trusted(nrows, ncols, tuple(rows))
+
+
+_new = object.__new__
+_set_nbits, _set_value = BitVec.nbits.__set__, BitVec.value.__set__
+_set_nrows, _set_ncols, _set_rows = BitMat.nrows.__set__, BitMat.ncols.__set__, BitMat.rows.__set__
 
 
 def read_fields(obj, what: str, allowed: Optional[Iterable[str]] = None, **kinds: type) -> list:
@@ -413,7 +470,7 @@ def read_fields(obj, what: str, allowed: Optional[Iterable[str]] = None, **kinds
 
 def _transpose_bitmat(m: BitMat) -> BitMat:
     if m.nrows == 0 or m.ncols == 0:
-        return BitMat(m.ncols, m.nrows, [0] * m.ncols)
+        return BitMat._trusted(m.ncols, m.nrows, (0,) * m.ncols)
     if m.nrows * m.ncols <= 4096:
         # numpy round-trips cost more than direct bit walks at this size
         out = [0] * m.ncols
@@ -422,7 +479,7 @@ def _transpose_bitmat(m: BitMat) -> BitMat:
                 j = (row & -row).bit_length() - 1
                 out[j] |= 1 << i
                 row &= row - 1
-        return BitMat(m.ncols, m.nrows, out)
+        return BitMat._trusted(m.ncols, m.nrows, tuple(out))
     return BitMat.from_numpy(m.to_numpy().T)
 
 
@@ -873,7 +930,7 @@ def radical_basis(s: BitMat) -> BitMat:
 def is_isotropic(m: BitMat) -> bool:
     """True iff all column pairs have zero symplectic inner product."""
     n = _require_even_rows(m)
-    cols = [c.value for c in m.cols()]
+    cols = m.transpose().rows
     swapped = [swap_halves(c, n) for c in cols]
     for i in range(len(cols)):
         ci = cols[i]

@@ -203,17 +203,17 @@ def drop_bit_transform(
     if branch is Branch.FLOODED:
         u = u.flip_bits(j for j, b in ((0, rng.bit()), (n, rng.bit())) if b)
 
-    a = instance.matrix
-    cols = a.cols()
-    pivot = next((c for c in cols if c.bit(0)), None)
-    if pivot is None:
+    cols = instance.matrix.transpose().rows
+    at = next((i for i, c in enumerate(cols) if c & 1), None)
+    if at is None:
         raise HyperplaneDimensionError("code lies inside the hyperplane")
-    hyper_cols = [c ^ pivot if c.bit(0) else c for c in cols if c is not pivot]
-    basis = BitMat.from_cols(hyper_cols, nrows=2 * n)
+    pivot = cols[at]
+    hyper_cols = [c ^ pivot if c & 1 else c for i, c in enumerate(cols) if i != at]
+    basis = BitMat._trusted_cols(2 * n, hyper_cols)
     a0 = basis.matmul(_random_invertible(rng, n - 1))
 
-    if u.bit(0):
-        u = u ^ pivot
+    if u.value & 1:
+        u = u ^ BitVec._trusted(2 * n, pivot)
 
     rot = HyperplaneRotation.sample(rng, n)
     while rot.k_pair is None:

@@ -64,15 +64,33 @@ class Rng:
         return int(self._gen.integers(0, 2))
 
     def bits(self, count: int) -> BitVec:
-        if count == 0:
-            return BitVec.zeros(0)
+        """``count`` uniform bits: the first ``count`` bits, little-endian, of
+        ``Generator.bytes((count + 7) // 8)``.
+
+        ``bytes`` draws ceil(length / 4) uint32 words through the sized
+        ``integers`` path and keeps the first ``length`` bytes of their
+        little-endian encoding. Up to 32 bits that is one word, and one scalar
+        ``integers(0, 2**32, dtype=uint32)`` draws the same word from the same
+        state without the sized path's Python-level set-up, so masking it
+        gives the same bits and leaves the stream where ``bytes`` would
+        (``test_rng_mixed_draw_golden_stream`` pins it). On a 2-core x86
+        host (Python 3.11, numpy 2.4) a draw of 8 or 32 bits takes 4.3-5.0 us
+        this way against 12.1-12.8 us through ``bytes``.
+        """
+        if count <= 0:
+            return BitVec(count)  # no bits, or ValueError for a negative count
+        if count <= 32:
+            word = int(self._gen.integers(0, 1 << 32, dtype=np.uint32))
+            return BitVec._trusted(count, word & ((1 << count) - 1))
         raw = self._gen.bytes((count + 7) // 8)
-        return BitVec(count, int.from_bytes(raw, "little"))
+        return BitVec._trusted(count, int.from_bytes(raw, "little") & ((1 << count) - 1))
 
     def bitmat(self, nrows: int, ncols: int) -> BitMat:
         flat = self.bits(nrows * ncols).value
         mask = (1 << ncols) - 1
-        return BitMat(nrows, ncols, [(flat >> (i * ncols)) & mask for i in range(nrows)])
+        return BitMat._trusted(
+            nrows, ncols, tuple((flat >> (i * ncols)) & mask for i in range(nrows))
+        )
 
     def integer(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
@@ -85,7 +103,7 @@ class Rng:
         return int(self._gen.binomial(n, p))
 
     def permutation(self, n: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in self._gen.permutation(n))
+        return tuple(self._gen.permutation(n).tolist())
 
     def numpy(self) -> np.random.Generator:
         """Escape hatch for vectorized draws; consumes this stream's state."""
@@ -128,8 +146,8 @@ def sample_isotropic(rng: Rng, n: int, k: int) -> BitMat:
         # the span is the dual of the dual: v lies in it exactly when it
         # pairs to 0 with every dual vector, and restrict then refuses it
         if dual.restrict(v):
-            cols.append(BitVec(2 * n, v))
-    return BitMat.from_cols(cols, nrows=2 * n)
+            cols.append(v)
+    return BitMat._trusted_cols(2 * n, cols)
 
 
 def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:
@@ -145,10 +163,10 @@ def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:
         raise ValueError("joint rank n + k cannot exceed 2n")
     a = sample_isotropic(rng, n, n)
     joint = EchelonSet()
-    for col in a.cols():
-        joint.add(col.value)
+    for col in a.transpose().rows:
+        joint.add(col)
     b_dual = incremental_dual(n)
-    b_cols: list[BitVec] = []
+    b_cols: list[int] = []
     attempts = 0
     while len(b_cols) < k:
         v = b_dual.combine(rng.bits(b_dual.dim).value)
@@ -157,9 +175,9 @@ def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:
             if attempts > 64 * (n + k):
                 raise RuntimeError("rejection sampling stalled; invalid parameters")
             continue
-        b_cols.append(BitVec(2 * n, v))
+        b_cols.append(v)
         b_dual.restrict(v)
-    return a, BitMat.from_cols(b_cols, nrows=2 * n)
+    return a, BitMat._trusted_cols(2 * n, b_cols)
 
 
 class InstanceKind(str, enum.Enum):
@@ -367,8 +385,7 @@ class HyperplaneRotation:
         # compose with the pair swap (1 <-> k) acting on the output coordinates
         if kk != 0:
             cols = [_swap_bits(_swap_bits(c, 0, kk), n, n + kk) for c in cols]
-        mat = BitMat.from_cols([BitVec(2 * n, c) for c in cols], nrows=2 * n)
-        return cls(mat, r, k)
+        return cls(BitMat._trusted_cols(2 * n, cols), r, k)
 
     @classmethod
     def sample(cls, rng: Rng, n: int) -> "HyperplaneRotation":

@@ -101,7 +101,7 @@ def expand(seed: Seed) -> BitMat:
     if len(real) < n:
         diagnostics.bump("supke.expand_zero_pad")
         real.extend([0] * (n - len(real)))
-    return BitMat.from_cols([BitVec(2 * n, v) for v in real], nrows=2 * n)
+    return BitMat._trusted_cols(2 * n, real)
 
 
 def invert(rng: Rng, a: BitMat) -> Seed:
@@ -119,7 +119,7 @@ def invert(rng: Rng, a: BitMat) -> Seed:
         raise ValueError("matrix is not full rank")
     if not is_isotropic(a):
         raise ValueError("matrix is not isotropic")
-    a_cols = [c.value for c in a.cols()]
+    a_cols = a.transpose().rows
     while True:
         prefix: list[tuple[int, int]] = []  # (coeffs, width) per step
         real: list[int] = []

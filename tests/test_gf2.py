@@ -80,6 +80,65 @@ def test_bitvec_ops():
         a ^ BitVec.zeros(3)
 
 
+def test_public_constructors_mask_and_refuse_assignment():
+    v, m = BitVec(4, 0xFF), BitMat(2, 4, [0xFF, 0x1F])
+    assert v.value == 0xF and m.rows == (0xF, 0xF)
+    for obj, name in ((v, "value"), (v, "nbits"), (m, "rows"), (m, "nrows"), (m, "ncols")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    with pytest.raises(AttributeError):
+        BitVec._trusted(4, 3).value = 1
+    with pytest.raises(AttributeError):
+        BitMat._trusted(1, 4, (3,)).rows = (1,)
+
+
+WIDTHS = st.integers(0, 70)
+
+
+def _draw_bitmat(data, nrows: int, ncols: int) -> BitMat:
+    word = st.integers(0, (1 << ncols) - 1)
+    return BitMat(nrows, ncols, data.draw(st.lists(word, min_size=nrows, max_size=nrows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trusted_sites_match_the_public_constructor(data):
+    # every method that builds its result through the unmasked internal
+    # constructor gives the object the public (masking) constructor builds
+    # from the same computation, so no bit lies past the width
+    r, c, c2 = data.draw(WIDTHS), data.draw(WIDTHS), data.draw(WIDTHS)
+    m, o = _draw_bitmat(data, r, c), _draw_bitmat(data, c, c2)
+    x, y = (BitVec(c, data.draw(st.integers(0, (1 << c) - 1))) for _ in range(2))
+    flips = data.draw(st.lists(st.integers(0, c - 1), max_size=8)) if c else []
+    flipped = x.value
+    for i in flips:
+        flipped ^= 1 << i
+    col = [sum(((row >> j) & 1) << i for i, row in enumerate(m.rows)) for j in range(c)]
+    product = [0] * r
+    for i, row in enumerate(m.rows):
+        for j in range(c):
+            if (row >> j) & 1:
+                product[i] ^= o.rows[j]
+    image = sum(((row & x.value).bit_count() & 1) << i for i, row in enumerate(m.rows))
+    cases = [
+        (x ^ y, BitVec(c, x.value ^ y.value)),
+        (x.flip_bits(flips), BitVec(c, flipped)),
+        (m.matvec(x), BitVec(r, image)),
+        (m.matmul(o), BitMat(r, c2, product)),
+        (m.transpose(), BitMat(c, r, col)),
+        (BitMat.from_cols(m.row_vecs(), nrows=c), BitMat(c, r, col)),
+        (BitMat._trusted_cols(c, list(m.rows)), BitMat(c, r, col)),
+        (BitMat.from_json(m.to_json()), BitMat(r, c, list(m.rows))),
+        (BitVec.from_json(x.to_json()), BitVec(c, x.value)),
+        *zip(m.row_vecs(), [BitVec(c, row) for row in m.rows]),
+        *zip(m.cols(), [BitVec(r, v) for v in col]),
+    ]
+    for got, want in cases:
+        assert got == want and hash(got) == hash(want)
+        if isinstance(got, BitMat):
+            assert type(got.rows) is tuple
+
+
 def test_bitmat_json_roundtrip():
     rng = np.random.default_rng(0)
     m = random_bitmat(rng, 5, 11)

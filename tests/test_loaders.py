@@ -1,5 +1,6 @@
 """Every JSON loader: round trips, and ValueError for anything malformed."""
 import json
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -64,6 +65,30 @@ def test_seed_from_hex_rejects_bits_past_its_length():
     with pytest.raises(ValueError, match="trailing bits"):
         Seed.from_hex(1, "ff")
     assert Seed.from_hex(1, "0f").bits == BitVec(4, 0xF)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"rows": 0, "cols": 2**26, "hex": ""}, {"rows": 2**20, "cols": 0, "hex": ""}],
+    ids=["no-rows-huge-cols", "huge-rows-no-cols"],
+)
+def test_bitmat_from_json_cost_follows_the_payload(payload):
+    # a consistent empty payload that declares one huge dimension either
+    # raises or loads at once, rather than building what the shape names
+    t = time.perf_counter()
+    try:
+        m = BitMat.from_json(payload)
+    except ValueError:
+        return
+    assert time.perf_counter() - t < 0.05
+    assert (m.nrows, m.ncols) == (payload["rows"], payload["cols"])
+
+
+def test_bitmat_from_json_bounds_the_row_count_and_loads_long_vectors():
+    with pytest.raises(ValueError, match="rows"):
+        BitMat.from_json({"rows": 2**20 + 1, "cols": 0, "hex": ""})
+    v = Rng(3).bits(4 * 128 * 128 + 2 * 128)  # an n=128 seed-keyed public key vector
+    assert BitVec.from_json(v.to_json()) == v
 
 
 @pytest.mark.parametrize("cls", LOADERS, ids=lambda cls: cls.__name__)

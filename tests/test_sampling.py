@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from slpn.gf2 import BitMat, BitVec, is_isotropic, rank, solve, symp_inner
@@ -17,6 +18,7 @@ from slpn.sampling import (
     sample_bernoulli,
     sample_depolarizing,
     sample_isotropic,
+    sample_lsn_matrices,
 )
 from slpn.supke import Seed, expand, invert
 
@@ -39,6 +41,36 @@ def test_rng_split_independent_and_deterministic():
     assert c1.bits(128) == again.bits(128)
     assert Rng(7).split(0).bits(128) != Rng(7).split(1).bits(128)
     assert c2.bits(64).nbits == 64
+
+
+def _public(obj):
+    """obj rebuilt through the public constructor, which masks to the width."""
+    if isinstance(obj, BitVec):
+        return BitVec(obj.nbits, obj.value)
+    return BitMat(obj.nrows, obj.ncols, list(obj.rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 70), st.integers(0, 70), st.data())
+def test_trusted_draws_and_samplers_match_the_public_constructor(seed, a, b, data):
+    # Rng draws and the samplers build through the unmasked internal
+    # constructor; each result is what the public constructor makes of it
+    rng = Rng(seed)
+    n = data.draw(st.integers(2, 35))
+    k = data.draw(st.integers(0, n))
+    seed_n = data.draw(st.integers(1, 6))
+    made = [
+        rng.bits(a),
+        rng.bitmat(a, b),
+        sample_isotropic(rng, n, k),
+        *sample_lsn_matrices(rng, k, n),
+        HyperplaneRotation.sample(rng, n).c,
+        expand(Seed(rng.bits(4 * seed_n * seed_n))),
+    ]
+    for obj in made:
+        assert _public(obj) == obj
+        if isinstance(obj, BitMat):
+            assert type(obj.rows) is tuple and len(obj.rows) == obj.nrows
 
 
 def _digest(hexstr: str) -> str:
