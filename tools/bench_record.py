@@ -40,10 +40,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 
 
 def quartiles(values: list[float]) -> dict:
-    if len(values) == 1:
-        q = [values[0]] * 3
-    else:
-        q = statistics.quantiles(values, n=4, method="inclusive")
+    q = statistics.quantiles(values, n=4, method="inclusive")
     return {"p25": q[0], "p50": q[1], "p75": q[2], "values": values}
 
 
