@@ -381,8 +381,8 @@ def test_radical_membership():
         for j in range(rad.ncols):
             assert solve(s, rad.col(j)) is not None or s.ncols == 0
             assert solve(dual, rad.col(j)) is not None
-        # dimension check against brute membership at tiny n
-        if n <= 2:
+        # dimension check against brute membership at small n
+        if n <= 3:
             span = {s.matvec(BitVec(k, x)).value for x in range(1 << k)}
             dual_span = {
                 dual.matvec(BitVec(dual.ncols, x)).value for x in range(1 << dual.ncols)

@@ -1,4 +1,5 @@
 """Tests for the instance reductions, with exhaustive oracles at small sizes."""
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -342,6 +343,22 @@ def test_dual_mode_unstructured_uniform():
         counts[w.value] += 1
     assert len(counts) == 1 << (n + 1)
     assert chisquare(list(counts.values())).pvalue > 0.001
+
+
+@pytest.mark.parametrize(
+    "n, digest", [(3, "6263bff5ec083c9f"), (4, "7288d39833fca8b9"), (8, "e749d9aa9a28098c")]
+)
+def test_dual_mode_golden_stream(n, digest):
+    # (h, w) on structured and uniform words over fixed seeds, each followed
+    # by the next 64-bit draw: a draw of another width, or another accepted
+    # draw, changes h or shifts what comes after
+    out = []
+    for seed in range(12):
+        rng = Rng(900 + seed)
+        inst = gen_symplpn(rng, n - 1, n, 0.1, structured=seed % 2 == 0)
+        h, w = dual_mode_transform(rng, inst)
+        out.append((h.to_hex(), w.to_hex(), rng.bits(64).to_hex()))
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == digest
 
 
 def test_dual_mode_rejects_wrong_shape():

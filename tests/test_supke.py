@@ -139,6 +139,40 @@ def test_invert_rejects_bad_input():
         invert(rng, bad)  # not isotropic
 
 
+def test_invert_accepts_exactly_the_full_rank_isotropic_matrices():
+    # random 2n x n matrices are almost never isotropic, so half the trials
+    # start from a valid one and break it: a zero column, a column that is the
+    # sum of two others, or a pair of columns that pair to 1
+    rng = Rng(16)
+    accepted = rejected = 0
+    for trial in range(3000):
+        n = 1 + trial % 6
+        if trial % 2:
+            a = rng.bitmat(2 * n, n)
+        else:
+            cols = list(sample_isotropic(rng, n, n).transpose().rows)
+            i, j = rng.integer(n), rng.integer(n)
+            kind = trial // 2 % 4
+            if kind == 1:
+                cols[i] = 0
+            elif kind == 2 and n >= 3:
+                cols[i] = cols[(i + 1) % n] ^ cols[(i + 2) % n]
+            elif kind == 3 and i != j:
+                # e_i against f_i: the two columns pair to 1
+                cols[i], cols[j] = 1 << i, 1 << (n + i)
+            a = BitMat.from_cols([BitVec(2 * n, c) for c in cols], nrows=2 * n)
+        valid = rank(a) == n and is_isotropic(a)
+        try:
+            seed = invert(rng, a)
+        except ValueError:
+            assert not valid
+            rejected += 1
+        else:
+            assert valid and seed.n == n
+            accepted += 1
+    assert accepted >= 500 and rejected >= 1500
+
+
 def test_invert_bits_near_uniform():
     # per-bit marginal of inverted seeds; the spec-scale run is costly, so a
     # shorter run with a correspondingly wider tolerance
