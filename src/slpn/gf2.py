@@ -16,9 +16,11 @@ mask and the checks, and ``BitMat._trusted_cols`` lays int columns out as
 rows that way and transposes them. They are only for results whose bits fit
 by construction: ``__xor__``, ``flip_bits``, ``matvec``, ``matmul``, the
 transpose, ``from_cols``, ``row_vecs``, ``from_json`` and ``from_hex`` after
-the trailing-bits check, the ``Rng`` draws, the columns of the isotropic and
-LSN samplers, of the hyperplane rotation, of the seed expansion and of the
-drop-bit transform's hyperplane basis. Callers that want the columns as
+the trailing-bits check, the ``Rng`` draws, the kernel, column-space and
+symplectic-dual bases, the three parts of the symplectic split, the columns
+of the isotropic and LSN samplers, of the hyperplane rotation, of the seed
+expansion, of the drop-bit transform's hyperplane basis and of the dual-mode
+transform. Callers that want the columns as
 ints read ``transpose().rows`` rather than one BitVec per column from
 ``cols()``. At n=4 these objects are much of a call's cost: on a 2-core x86
 host (Python 3.11, numpy 2.4) a public ``BitVec`` took 0.8-0.9 us and a
@@ -47,7 +49,9 @@ forms (``solve``, the kernel bases, ``column_space_basis``) take pivots at
 the lowest column index, so they run it on bit-reversed rows. On a 2-core
 x86 host (Python 3.11, numpy 2.4) ``rank`` takes 22-33 ms at 1024 x 512.
 The reversal about doubles ``kernel_basis`` at 4 x 4 (24-32 us, against
-12-23 us for a direct scan), and no hot path calls it.
+12-23 us for a direct scan), and no hot path calls it. The radical of a span
+is the span of the vectors that the symplectic split
+(``symplectic_subspace_basis``) leaves unpaired.
 
 Information-set decoding solves the same system [M | b] on many row subsets.
 ``solve_full_rank_batch`` takes the rows of [M | b] packed once into uint64
@@ -468,11 +472,18 @@ def read_fields(obj, what: str, allowed: Optional[Iterable[str]] = None, **kinds
     return [obj[key] for key in kinds]
 
 
+# The most entries a matrix may have for _transpose_bitmat to walk its set
+# bits; larger ones go through numpy. On a 2-core x86 host (Python 3.11,
+# numpy 2.4), on random matrices, the walk took 13.8 against 15.3 us at
+# 14 x 14 and 19.4 against 16.3 us at 16 x 16, and the two tie from 192 to
+# 225 entries; numpy's lead grows to 92 against 27 us at 32 x 32.
+_WALK_MAX_ENTRIES = 200
+
+
 def _transpose_bitmat(m: BitMat) -> BitMat:
     if m.nrows == 0 or m.ncols == 0:
         return BitMat._trusted(m.ncols, m.nrows, (0,) * m.ncols)
-    if m.nrows * m.ncols <= 4096:
-        # numpy round-trips cost more than direct bit walks at this size
+    if m.nrows * m.ncols <= _WALK_MAX_ENTRIES:
         out = [0] * m.ncols
         for i, row in enumerate(m.rows):
             while row:
@@ -663,10 +674,7 @@ def kernel_basis_info(m: BitMat) -> tuple[BitMat, tuple[int, ...]]:
     element at the free columns. The basis is canonical for the row space.
     """
     basis, free_cols = _kernel_ints(m.rows, m.ncols)
-    return (
-        BitMat.from_cols([BitVec(m.ncols, v) for v in basis], nrows=m.ncols),
-        free_cols,
-    )
+    return BitMat._trusted_cols(m.ncols, basis), free_cols
 
 
 def kernel_basis(m: BitMat) -> BitMat:
@@ -677,8 +685,7 @@ def kernel_basis(m: BitMat) -> BitMat:
 
 def column_space_basis(m: BitMat) -> BitMat:
     """Canonical basis of the column space (RREF rows of the transpose)."""
-    red = _rref(m.transpose().rows, m.nrows)
-    return BitMat.from_cols([BitVec(m.nrows, r) for r in red], nrows=m.nrows)
+    return BitMat._trusted_cols(m.nrows, _rref(m.transpose().rows, m.nrows))
 
 
 def xor_rows(rows: Sequence[int], sel: int) -> int:
@@ -770,7 +777,7 @@ def symp_dual_basis(s: BitMat) -> BitMat:
     dual = incremental_dual(_require_even_rows(s))
     for c in s.transpose().rows:
         dual.restrict(c)
-    return BitMat.from_cols([BitVec(s.nrows, v) for v in dual.basis()], nrows=s.nrows)
+    return BitMat._trusted_cols(s.nrows, dual.basis())
 
 
 # -- incremental symplectic dual ---------------------------------------------
@@ -909,22 +916,10 @@ def incremental_dual(n: int) -> _IntDual | _PackedDual:
 
 
 def radical_basis(s: BitMat) -> BitMat:
-    """Basis of im(s) intersected with its own symplectic dual."""
-    n = _require_even_rows(s)
-    if s.ncols == 0:
-        return BitMat(2 * n, 0, [0] * (2 * n))
-    dual = symp_dual_basis(s)
-    if dual.ncols == 0:
-        return BitMat(2 * n, 0, [0] * (2 * n))
-    joint = s.hstack(dual)
-    members = []
-    ker = kernel_basis(joint)
-    for col in ker.cols():
-        x = col.sub(0, s.ncols)
-        members.append(s.matvec(x))
-    if not members:
-        return BitMat(2 * n, 0, [0] * (2 * n))
-    return column_space_basis(BitMat.from_cols(members, nrows=2 * n))
+    """Canonical basis of im(s) intersected with its own symplectic dual: the
+    span of the vectors that ``symplectic_subspace_basis`` leaves unpaired."""
+    u_part, _, _ = symplectic_subspace_basis(s)
+    return column_space_basis(u_part)
 
 
 def is_isotropic(m: BitMat) -> bool:
@@ -947,10 +942,10 @@ def symplectic_subspace_basis(s: BitMat) -> tuple[BitMat, BitMat, BitMat]:
     dual, and v_i, w_j satisfy v_i * v_j = w_i * w_j = 0, v_i * w_j = delta_ij.
     """
     n = _require_even_rows(s)
-    working = [c.value for c in column_space_basis(s).cols()]
-    u_part: list[BitVec] = []
-    v_part: list[BitVec] = []
-    w_part: list[BitVec] = []
+    working = _rref(s.transpose().rows, 2 * n)
+    u_part: list[int] = []
+    v_part: list[int] = []
+    w_part: list[int] = []
     while working:
         z = working.pop(0)
         zs = swap_halves(z, n)
@@ -958,7 +953,7 @@ def symplectic_subspace_basis(s: BitMat) -> tuple[BitMat, BitMat, BitMat]:
             (i for i, t in enumerate(working) if (t & zs).bit_count() & 1), None
         )
         if partner_idx is None:
-            u_part.append(BitVec(2 * n, z))
+            u_part.append(z)
             continue
         w = working.pop(partner_idx)
         ws = swap_halves(w, n)
@@ -968,13 +963,9 @@ def symplectic_subspace_basis(s: BitMat) -> tuple[BitMat, BitMat, BitMat]:
             if (t & zs).bit_count() & 1:
                 t ^= w
             working[i] = t
-        v_part.append(BitVec(2 * n, z))
-        w_part.append(BitVec(2 * n, w))
-    return (
-        BitMat.from_cols(u_part, nrows=2 * n),
-        BitMat.from_cols(v_part, nrows=2 * n),
-        BitMat.from_cols(w_part, nrows=2 * n),
-    )
+        v_part.append(z)
+        w_part.append(w)
+    return tuple(BitMat._trusted_cols(2 * n, part) for part in (u_part, v_part, w_part))
 
 
 def permute_pairs(v, perm: Sequence[int]):
@@ -1005,7 +996,11 @@ def permute_rows_pairs(m: BitMat, perm: Sequence[int]) -> BitMat:
 
 @dataclass(frozen=True)
 class IsotropicCode:
-    """Full-column-rank 2n x k matrix with pairwise symplectically orthogonal columns."""
+    """Full-column-rank 2n x k matrix with pairwise symplectically orthogonal columns.
+
+    The constructor wraps without validation, for samplers whose output is
+    correct by construction; ``checked`` and ``from_json`` validate.
+    """
 
     mat: BitMat
 
@@ -1016,11 +1011,6 @@ class IsotropicCode:
     @property
     def k(self) -> int:
         return self.mat.ncols
-
-    @classmethod
-    def trusted(cls, mat: BitMat) -> "IsotropicCode":
-        """Wrap without validation; for samplers whose output is correct by construction."""
-        return cls(mat)
 
     @classmethod
     def checked(cls, mat: BitMat) -> "IsotropicCode":

@@ -80,7 +80,7 @@ def owf_gen(rng: Rng, k: int, n: int, p: float) -> OwfIndex:
     if k > n:
         raise ValueError("joint rank n + k cannot exceed 2n")
     a, b = sample_lsn_matrices(rng, k, n)
-    return OwfIndex(n, k, p, IsotropicCode.trusted(a), IsotropicCode.trusted(b))
+    return OwfIndex(n, k, p, IsotropicCode(a), IsotropicCode(b))
 
 
 def owf_sample(rng: Rng, index: OwfIndex, p: float | None = None) -> OwfInput:

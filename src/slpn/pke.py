@@ -96,7 +96,7 @@ def gen_traced(rng: Rng, n: int, p: float) -> tuple[PublicKey, SecretKey, SympVe
     x = rng.bits(n)
     e = sample_depolarizing(rng, n, p)
     b = a.matvec(x) ^ e.v
-    return PublicKey(n, p, IsotropicCode.trusted(a), b), SecretKey(n, x), e
+    return PublicKey(n, p, IsotropicCode(a), b), SecretKey(n, x), e
 
 
 def enc(rng: Rng, pk: PublicKey, mu: int, p: float | None = None) -> Ciphertext:

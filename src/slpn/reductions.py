@@ -17,12 +17,12 @@ from . import diagnostics
 from .gf2 import (
     BitMat,
     BitVec,
+    EchelonSet,
     SympVec,
+    incremental_dual,
     permute_pairs,
     permute_rows_pairs,
     rank,
-    solve,
-    symp_dual_basis,
     symp_vec_mat,
 )
 from .harness import advantage_interval, wilson_interval
@@ -157,20 +157,27 @@ def symmetrize_noise(rng: Rng, vec, noisy_pairs: Iterable[int], n: int):
             break
         if j not in chosen:
             chosen.add(j)
-    overlay = rng.bits(2 * len(chosen))
-    flips = []
-    for i, j in enumerate(sorted(chosen)):
-        if overlay.bit(2 * i):
-            flips.append(j)
-        if overlay.bit(2 * i + 1):
-            flips.append(n + j)
     carrier = vec.v if hasattr(vec, "v") else vec
-    noised = carrier.flip_bits(flips)
+    noised = _overlay_pairs(rng, carrier, sorted(chosen), n)
     perm = rng.permutation(n)
     out = permute_pairs(noised, perm)
     if hasattr(vec, "v"):
         return SympVec(n, out), perm
     return out, perm
+
+
+def _overlay_pairs(rng: Rng, vec: BitVec, pairs: list[int], n: int) -> BitVec:
+    """vec with uniform pair noise on each listed pair: one draw of
+    2 * len(pairs) bits, whose bits 2i and 2i + 1 flip j and n + j for the
+    i-th pair j."""
+    overlay = rng.bits(2 * len(pairs)).value
+    flips = []
+    for i, j in enumerate(pairs):
+        if (overlay >> 2 * i) & 1:
+            flips.append(j)
+        if (overlay >> 2 * i + 1) & 1:
+            flips.append(n + j)
+    return vec.flip_bits(flips)
 
 
 def default_flood_count(n: int, p: float) -> int:
@@ -229,14 +236,7 @@ def drop_bit_transform(
     if count < 1:
         raise ValueError("flood count must be positive")
     extras = [j for j in range(n) if j != kk][: count - 1]
-    flood_bits = rng.bits(2 * len(extras))
-    flips = []
-    for i, j in enumerate(extras):
-        if flood_bits.bit(2 * i):
-            flips.append(j)
-        if flood_bits.bit(2 * i + 1):
-            flips.append(n + j)
-    w = w.flip_bits(flips)
+    w = _overlay_pairs(rng, w, extras, n)
 
     noisy = [kk] + extras
     w, perm = symmetrize_noise(rng, w, noisy, n)
@@ -287,21 +287,26 @@ def dual_mode_transform(rng: Rng, instance: Instance) -> tuple[BitMat, BitVec]:
     if instance.kind is not InstanceKind.SYMPLPN or instance.k != instance.n - 1:
         raise ValueError("expected an (n-1)-column symplectic instance")
     n = instance.n
-    a = instance.matrix
-    dual = symp_dual_basis(a)  # dimension n + 1
-    u = _sample_dual_outside(rng, dual, a)
-    extended = a.hstack(BitMat.from_cols([u], nrows=2 * n))
-    b = extended.matmul(_random_invertible(rng, n))
-    v = _sample_dual_outside(rng, dual, b)
-    h = b.hstack(BitMat.from_cols([v], nrows=2 * n))
+    a_cols = instance.matrix.transpose().rows
+    dual = incremental_dual(n)
+    span = EchelonSet()
+    for c in a_cols:
+        dual.restrict(c)  # to dimension n + 1
+        span.add(c)
+    u = _draw_dual_outside(rng, dual, span)
+    b = BitMat._trusted_cols(2 * n, [*a_cols, u]).matmul(_random_invertible(rng, n))
+    # im(b) = span(a, u), which span already holds
+    v = _draw_dual_outside(rng, dual, span)
+    h = BitMat._trusted_cols(2 * n, [*b.transpose().rows, v])
     w = symp_vec_mat(instance.word, h)
     return h, w
 
 
-def _sample_dual_outside(rng: Rng, dual: BitMat, span: BitMat) -> BitVec:
+def _draw_dual_outside(rng: Rng, dual, span: EchelonSet) -> int:
+    """A uniform vector of the dual outside the span, which takes it."""
     while True:
-        v = dual.matvec(rng.bits(dual.ncols))
-        if solve(span, v) is None:
+        v = dual.combine(rng.bits(dual.dim).value)
+        if span.add(v):
             return v
 
 

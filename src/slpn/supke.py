@@ -20,8 +20,6 @@ from .gf2 import (
     IsotropicCode,
     SympVec,
     incremental_dual,
-    is_isotropic,
-    rank,
     read_fields,
     swap_halves,
     xor_rows,
@@ -111,14 +109,14 @@ def invert(rng: Rng, a: BitMat) -> Seed:
     the next column of a, otherwise a random vector already in the span of
     the inserted columns; then read the combination coefficients off the
     ordered dual basis and pad the reconstructed prefix with fresh bits.
+
+    Raises ValueError unless a is full rank and isotropic. Column r is checked
+    as it is inserted: it must lie in the dual of the columns before it, and
+    outside their span. Every column is inserted before the seed is returned.
     """
     if a.nrows % 2 or a.ncols * 2 != a.nrows:
         raise ValueError("expected a 2n x n matrix")
     n = a.ncols
-    if rank(a) != n:
-        raise ValueError("matrix is not full rank")
-    if not is_isotropic(a):
-        raise ValueError("matrix is not isotropic")
     a_cols = a.transpose().rows
     while True:
         prefix: list[tuple[int, int]] = []  # (coeffs, width) per step
@@ -132,12 +130,15 @@ def invert(rng: Rng, a: BitMat) -> Seed:
             else:
                 w = xor_rows(real, rng.bits(r).value) if r else 0
             coeffs = dual.coefficients(w)
-            if dual.combine(coeffs) != w:
-                raise RuntimeError("column is outside the dual basis")
             prefix.append((coeffs, dual.dim))
+            # only a column of a needs the check: the span of real lies in
+            # its own dual, because every column of real passed it
             if took_real:
+                if dual.combine(coeffs) != w:
+                    raise ValueError("matrix is not isotropic")
+                if not dual.restrict(w):
+                    raise ValueError("matrix is not full rank")
                 real.append(w)
-                dual.restrict(w)
         if len(real) == n:
             break
         diagnostics.bump("supke.invert_retry")
@@ -169,7 +170,7 @@ class SuPublicKey:
 
         Not a field, so equality, hashing and ``to_json`` ignore it.
         """
-        return PublicKey(self.n, self.p, IsotropicCode.trusted(expand(self.seed)), self.b)
+        return PublicKey(self.n, self.p, IsotropicCode(expand(self.seed)), self.b)
 
     def to_json(self) -> dict:
         return {

@@ -23,6 +23,7 @@ from slpn.gf2 import (
     incremental_dual,
     is_isotropic,
     kernel_basis,
+    kernel_basis_info,
     pack_rows,
     pair_weight_int,
     permute_pairs,
@@ -137,6 +138,19 @@ def test_trusted_sites_match_the_public_constructor(data):
         assert got == want and hash(got) == hash(want)
         if isinstance(got, BitMat):
             assert type(got.rows) is tuple
+
+
+def test_algebra_bases_match_the_public_constructor():
+    # the kernel, column-space, dual and symplectic-split bases are built
+    # through the unmasked internal constructor from bits that fit
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        s = random_bitmat(rng, 2 * n, int(rng.integers(0, 2 * n + 3)))
+        kernel, _ = kernel_basis_info(s)
+        for got in (kernel, column_space_basis(s), symp_dual_basis(s), *symplectic_subspace_basis(s)):
+            assert got == BitMat(got.nrows, got.ncols, got.rows) and type(got.rows) is tuple
+            assert got.nrows == (s.ncols if got is kernel else 2 * n)
 
 
 def test_bitmat_json_roundtrip():
@@ -389,6 +403,9 @@ def test_radical_membership():
             }
             inter = span & dual_span
             assert 1 << rad.ncols == len(inter)
+            # and the basis is the canonical one of exactly that set
+            members = [BitVec(2 * n, v) for v in sorted(inter)]
+            assert rad == column_space_basis(BitMat.from_cols(members, nrows=2 * n))
 
 
 # -- isotropy / symplectic basis -------------------------------------------

@@ -26,7 +26,7 @@ def _instance(rng: Rng, n: int) -> Instance:
 MAKERS = {
     BitVec: lambda rng, n: rng.bits(3 * n - 1),
     BitMat: lambda rng, n: rng.bitmat(n, 2 * n + 1),
-    IsotropicCode: lambda rng, n: IsotropicCode.trusted(sample_isotropic(rng, n, n - 1)),
+    IsotropicCode: lambda rng, n: IsotropicCode(sample_isotropic(rng, n, n - 1)),
     PublicKey: lambda rng, n: gen(rng, n, 0.1)[0],
     SecretKey: lambda rng, n: gen(rng, n, 0.1)[1],
     Ciphertext: lambda rng, n: enc(rng, gen(rng, n, 0.1)[0], rng.bit()),

@@ -113,8 +113,8 @@ def test_owf_eval_reproduces_instance_word():
             5,
             2,
             0.1,
-            IsotropicCode.trusted(inst.lsn_a_part()),
-            IsotropicCode.trusted(inst.lsn_b_part()),
+            IsotropicCode(inst.lsn_a_part()),
+            IsotropicCode(inst.lsn_b_part()),
         )
         secret = inst.witness.secret
         e = inst.witness.error
@@ -236,10 +236,10 @@ def test_uniqueness_checker_catches_low_distance_index():
     # crafted index with a pair-weight-2 codeword in the b part: the distance
     # precondition rejects it and the uniqueness check indeed fails at cap 1
     n, k, p = 6, 1, 0.12
-    a = IsotropicCode.trusted(
+    a = IsotropicCode(
         BitMat.from_cols([BitVec.unit(2 * n, j) for j in range(n)], nrows=2 * n)
     )
-    b = IsotropicCode.trusted(
+    b = IsotropicCode(
         BitMat.from_cols(
             [BitVec.unit(2 * n, n) ^ BitVec.unit(2 * n, n + 1)], nrows=2 * n
         )

@@ -11,6 +11,7 @@ from scipy.stats import chisquare
 from slpn import diagnostics
 from slpn.attacks import brute_force_search, make_brute_oracle, make_coin_oracle
 from slpn.gf2 import (
+    BitMat,
     BitVec,
     SympVec,
     is_isotropic,
@@ -357,6 +358,7 @@ def test_dual_mode_golden_stream(n, digest):
         rng = Rng(900 + seed)
         inst = gen_symplpn(rng, n - 1, n, 0.1, structured=seed % 2 == 0)
         h, w = dual_mode_transform(rng, inst)
+        assert h == BitMat(h.nrows, h.ncols, h.rows)  # built unmasked from fitting columns
         out.append((h.to_hex(), w.to_hex(), rng.bits(64).to_hex()))
     assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == digest
 

@@ -235,7 +235,7 @@ def test_su_enc_equals_plain_enc_given_expanded_matrix():
     pk, sk = su_gen(rng, 6, 0.15)
     from slpn.gf2 import IsotropicCode
 
-    plain = PublicKey(pk.n, pk.p, IsotropicCode.trusted(expand(pk.seed)), pk.b)
+    plain = PublicKey(pk.n, pk.p, IsotropicCode(expand(pk.seed)), pk.b)
     ct_su, f_su = su_enc_traced(Rng(777), pk, 1)
     ct_plain, f_plain = enc_traced(Rng(777), plain, 1)
     assert f_su.v == f_plain.v
@@ -246,7 +246,7 @@ def test_su_enc_expands_seed_once(monkeypatch):
     pk, _ = su_gen(Rng(14), 16, 0.05)
     from slpn.gf2 import IsotropicCode
 
-    plain = PublicKey(pk.n, pk.p, IsotropicCode.trusted(expand(pk.seed)), pk.b)
+    plain = PublicKey(pk.n, pk.p, IsotropicCode(expand(pk.seed)), pk.b)
     calls = []
 
     def counting_expand(seed):
