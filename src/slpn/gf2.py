@@ -5,6 +5,12 @@ word i // 64, position i mod 64 (LSB first), which is exactly the little-endian
 bit order of ``int``. Row XOR is a single integer op and inner products are
 popcounts, so all kernels here run on machine words.
 
+A vector of Z_2^{2n} (a Pauli error, a code column) is a plain 2n-bit
+``BitVec`` whose pair j sits at bits (j, n + j); ``symp_inner``,
+``symp_vec_mat``, ``permute_pairs`` and ``pair_weight_int`` read it that way.
+A code is a plain 2n x k ``BitMat``. Samplers build isotropic codes by
+construction, and loaders pass what they read through ``check_isotropic``.
+
 All values are immutable after construction and safe to share across threads.
 The incremental kernels (``EchelonSet`` and the dual basis made by
 ``incremental_dual``) are mutable working state owned by one caller.
@@ -75,7 +81,6 @@ the rank check, which carries the right-hand side along.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -84,8 +89,6 @@ import numpy as np
 __all__ = [
     "BitVec",
     "BitMat",
-    "SympVec",
-    "IsotropicCode",
     "rank",
     "solve",
     "kernel_basis",
@@ -102,6 +105,7 @@ __all__ = [
     "radical_basis",
     "symplectic_subspace_basis",
     "is_isotropic",
+    "check_isotropic",
     "swap_halves",
     "pair_weight_int",
     "permute_pairs",
@@ -494,55 +498,14 @@ def _transpose_bitmat(m: BitMat) -> BitMat:
     return BitMat.from_numpy(m.to_numpy().T)
 
 
-@dataclass(frozen=True)
-class SympVec:
-    """Length-2n bit vector with the pairing convention (index j, index n+j)."""
-
-    n: int
-    v: BitVec
-
-    def __post_init__(self):
-        if self.v.nbits != 2 * self.n:
-            raise ValueError("SympVec needs a 2n-bit carrier")
-
-    @classmethod
-    def zeros(cls, n: int) -> "SympVec":
-        return cls(n, BitVec.zeros(2 * n))
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "SympVec":
-        n = len(pairs)
-        v = 0
-        for j, (a, b) in enumerate(pairs):
-            v |= (a & 1) << j
-            v |= (b & 1) << (n + j)
-        return cls(n, BitVec(2 * n, v))
-
-    def pair(self, j: int) -> tuple[int, int]:
-        return self.v.bit(j), self.v.bit(self.n + j)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [self.pair(j) for j in range(self.n)]
-
-    def pair_weight(self) -> int:
-        return pair_weight_int(self.v.value, self.n)
-
-    def __xor__(self, other: "SympVec") -> "SympVec":
-        return SympVec(self.n, self.v ^ other.v)
+def _as_symp_bits(x: BitVec) -> tuple[int, int]:
+    """(value, n) of a 2n-bit vector."""
+    if x.nbits % 2:
+        raise ValueError("odd length has no symplectic splitting")
+    return x.value, x.nbits // 2
 
 
-def _as_symp_bits(x) -> tuple[int, int]:
-    """Coerce a SympVec or even-length BitVec to (value, n)."""
-    if isinstance(x, SympVec):
-        return x.v.value, x.n
-    if isinstance(x, BitVec):
-        if x.nbits % 2:
-            raise ValueError("odd length has no symplectic splitting")
-        return x.value, x.nbits // 2
-    raise TypeError(type(x))
-
-
-def symp_inner(u, w) -> int:
+def symp_inner(u: BitVec, w: BitVec) -> int:
     """Symplectic inner product a1.b2 + a2.b1 mod 2, halves split at index n."""
     uv, un = _as_symp_bits(u)
     wv, wn = _as_symp_bits(w)
@@ -552,7 +515,7 @@ def symp_inner(u, w) -> int:
     return (uv & swap_halves(wv, wn)).bit_count() & 1
 
 
-def symp_vec_mat(f, m: BitMat) -> BitVec:
+def symp_vec_mat(f: BitVec, m: BitMat) -> BitVec:
     """Row vector of per-column symplectic products (f against each column of m).
 
     Computed as one pass over the rows of m selected by the half-swapped f, so
@@ -802,10 +765,10 @@ class _IntDual:
 
     Starts from the unit vectors (the dual of the empty span). Invariant:
     basis vector i has bit ``free[i]`` set and no other bit listed in
-    ``free``. The basis is then the canonical one that
-    ``supke._ordered_dual_vectors`` computes from scratch, whatever columns
-    spanned it, and a dual element's coefficients can be read off its free
-    bits.
+    ``free``. The basis is then the canonical one, whatever columns spanned
+    it, and a dual element's coefficients can be read off its free bits. The
+    tests check it against ``supke._ordered_dual_vectors``, which recomputes
+    the basis directly and which nothing in the package calls.
     """
 
     __slots__ = ("n", "free", "rows")
@@ -968,19 +931,16 @@ def symplectic_subspace_basis(s: BitMat) -> tuple[BitMat, BitMat, BitMat]:
     return tuple(BitMat._trusted_cols(2 * n, part) for part in (u_part, v_part, w_part))
 
 
-def permute_pairs(v, perm: Sequence[int]):
-    """Apply the same permutation to both halves: pair j moves to perm[j].
-
-    Accepts a SympVec or a 2n-bit BitVec and returns the same type.
-    """
+def permute_pairs(v: BitVec, perm: Sequence[int]) -> BitVec:
+    """Apply the same permutation to both halves of a 2n-bit vector: pair j
+    moves to perm[j]."""
     val, n = _as_symp_bits(v)
     out = 0
     for j in range(n):
         d = perm[j]
         out |= ((val >> j) & 1) << d
         out |= ((val >> (n + j)) & 1) << (n + d)
-    res = BitVec(2 * n, out)
-    return SympVec(n, res) if isinstance(v, SympVec) else res
+    return BitVec(2 * n, out)
 
 
 def permute_rows_pairs(m: BitMat, perm: Sequence[int]) -> BitMat:
@@ -994,37 +954,13 @@ def permute_rows_pairs(m: BitMat, perm: Sequence[int]) -> BitMat:
     return BitMat(2 * n, m.ncols, rows)
 
 
-@dataclass(frozen=True)
-class IsotropicCode:
-    """Full-column-rank 2n x k matrix with pairwise symplectically orthogonal columns.
-
-    The constructor wraps without validation, for samplers whose output is
-    correct by construction; ``checked`` and ``from_json`` validate.
-    """
-
-    mat: BitMat
-
-    @property
-    def n(self) -> int:
-        return self.mat.nrows // 2
-
-    @property
-    def k(self) -> int:
-        return self.mat.ncols
-
-    @classmethod
-    def checked(cls, mat: BitMat) -> "IsotropicCode":
-        if mat.nrows % 2:
-            raise ValueError("odd row count")
-        if rank(mat) != mat.ncols:
-            raise ValueError("columns are not independent")
-        if not is_isotropic(mat):
-            raise ValueError("columns are not symplectically orthogonal")
-        return cls(mat)
-
-    def to_json(self) -> dict:
-        return self.mat.to_json()
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "IsotropicCode":
-        return cls.checked(BitMat.from_json(obj))
+def check_isotropic(mat: BitMat) -> BitMat:
+    """mat itself if it is a full-column-rank 2n x k matrix with pairwise
+    symplectically orthogonal columns; ValueError otherwise."""
+    if mat.nrows % 2:
+        raise ValueError("odd row count")
+    if rank(mat) != mat.ncols:
+        raise ValueError("columns are not independent")
+    if not is_isotropic(mat):
+        raise ValueError("columns are not symplectically orthogonal")
+    return mat

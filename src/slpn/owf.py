@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf2 import BitMat, BitVec, IsotropicCode, SympVec, rank, read_fields
-from .sampling import Rng, sample_depolarizing, sample_lsn_matrices
+from .gf2 import BitMat, BitVec, pair_weight_int, read_fields
+from .sampling import Rng, check_lsn_pair, sample_depolarizing, sample_lsn_matrices
 
 __all__ = [
     "OwfIndex",
@@ -30,11 +30,11 @@ class OwfIndex:
     n: int
     k: int
     p: float
-    a: IsotropicCode
-    b: IsotropicCode
+    a: BitMat
+    b: BitMat
 
     def joint(self) -> BitMat:
-        return self.a.mat.hstack(self.b.mat)
+        return self.a.hstack(self.b)
 
     def to_json(self) -> dict:
         return {
@@ -48,26 +48,27 @@ class OwfIndex:
     @classmethod
     def from_json(cls, obj: dict) -> "OwfIndex":
         n, k, p, a, b = read_fields(obj, "owf index", n=int, k=int, p=float, a=dict, b=dict)
-        idx = cls(n, k, float(p), IsotropicCode.from_json(a), IsotropicCode.from_json(b))
-        if rank(idx.joint()) != idx.n + idx.k:
-            raise ValueError("matrices are not jointly full rank")
-        return idx
+        a, b = BitMat.from_json(a), BitMat.from_json(b)
+        check_lsn_pair(a, b, n, k)
+        return cls(n, k, float(p), a, b)
 
 
 @dataclass(frozen=True)
 class OwfInput:
     r: BitVec
     y: BitVec
-    e: SympVec
+    e: BitVec  # 2n bits, pair j at bits (j, n + j)
 
     def to_json(self) -> dict:
-        return {"r": self.r.to_json(), "y": self.y.to_json(), "e": self.e.v.to_json()}
+        return {"r": self.r.to_json(), "y": self.y.to_json(), "e": self.e.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "OwfInput":
         r, y, e = read_fields(obj, "owf input", r=dict, y=dict, e=dict)
         e = BitVec.from_json(e)
-        return cls(BitVec.from_json(r), BitVec.from_json(y), SympVec(e.nbits // 2, e))
+        if e.nbits % 2:
+            raise ValueError("owf input error e has odd length")
+        return cls(BitVec.from_json(r), BitVec.from_json(y), e)
 
 
 def weight_cap(index: OwfIndex) -> int:
@@ -80,7 +81,7 @@ def owf_gen(rng: Rng, k: int, n: int, p: float) -> OwfIndex:
     if k > n:
         raise ValueError("joint rank n + k cannot exceed 2n")
     a, b = sample_lsn_matrices(rng, k, n)
-    return OwfIndex(n, k, p, IsotropicCode(a), IsotropicCode(b))
+    return OwfIndex(n, k, p, a, b)
 
 
 def owf_sample(rng: Rng, index: OwfIndex, p: float | None = None) -> OwfInput:
@@ -90,21 +91,21 @@ def owf_sample(rng: Rng, index: OwfIndex, p: float | None = None) -> OwfInput:
     r = rng.bits(index.n)
     y = rng.bits(index.k)
     e = sample_depolarizing(rng, index.n, p)
-    if e.pair_weight() > weight_cap(index):
-        e = SympVec.zeros(index.n)
+    if pair_weight_int(e.value, index.n) > weight_cap(index):
+        e = BitVec.zeros(2 * index.n)
     return OwfInput(r, y, e)
 
 
 def owf_eval(index: OwfIndex, x: OwfInput) -> BitVec:
     """a @ r + b @ y + e; the public index itself is not re-emitted."""
-    if x.r.nbits != index.n or x.y.nbits != index.k or x.e.n != index.n:
+    if x.r.nbits != index.n or x.y.nbits != index.k or x.e.nbits != 2 * index.n:
         raise ValueError("input dimensions do not match the index")
-    return index.a.mat.matvec(x.r) ^ index.b.mat.matvec(x.y) ^ x.e.v
+    return index.a.matvec(x.r) ^ index.b.matvec(x.y) ^ x.e
 
 
 def owf_verify_preimage(index: OwfIndex, candidate: OwfInput, target: BitVec) -> bool:
     """True iff the candidate respects the weight cap and evaluates to target."""
-    if candidate.e.pair_weight() > weight_cap(index):
+    if pair_weight_int(candidate.e.value, candidate.e.nbits // 2) > weight_cap(index):
         return False
     return owf_eval(index, candidate) == target
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf2 import BitVec, IsotropicCode, SympVec, read_fields, symp_inner, symp_vec_mat
+from .gf2 import BitMat, BitVec, check_isotropic, read_fields, symp_inner, symp_vec_mat
 from .sampling import Rng, sample_depolarizing, sample_isotropic
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 class PublicKey:
     n: int
     p: float
-    a: IsotropicCode
+    a: BitMat
     b: BitVec
 
     def to_json(self) -> dict:
@@ -44,11 +44,11 @@ class PublicKey:
     @classmethod
     def from_json(cls, obj: dict) -> "PublicKey":
         n, p, a, b = read_fields(obj, "public key", n=int, p=float, a=dict, b=dict)
-        a = IsotropicCode.from_json(a)
+        a = BitMat.from_json(a)
         b = BitVec.from_json(b)
-        if a.n != n or a.k != n or b.nbits != 2 * n:
+        if (a.nrows, a.ncols, b.nbits) != (2 * n, n, 2 * n):
             raise ValueError("inconsistent public key")
-        return cls(n, float(p), a, b)
+        return cls(n, float(p), check_isotropic(a), b)
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,14 @@ def gen(rng: Rng, n: int, p: float) -> tuple[PublicKey, SecretKey]:
     return pk, sk
 
 
-def gen_traced(rng: Rng, n: int, p: float) -> tuple[PublicKey, SecretKey, SympVec]:
-    """Key generation that also returns the key-noise e, for white-box checks."""
+def gen_traced(rng: Rng, n: int, p: float) -> tuple[PublicKey, SecretKey, BitVec]:
+    """Key generation that also returns the 2n-bit key noise e, for white-box checks."""
     check_p(p)
     a = sample_isotropic(rng, n, n)
     x = rng.bits(n)
     e = sample_depolarizing(rng, n, p)
-    b = a.matvec(x) ^ e.v
-    return PublicKey(n, p, IsotropicCode(a), b), SecretKey(n, x), e
+    b = a.matvec(x) ^ e
+    return PublicKey(n, p, a, b), SecretKey(n, x), e
 
 
 def enc(rng: Rng, pk: PublicKey, mu: int, p: float | None = None) -> Ciphertext:
@@ -106,12 +106,12 @@ def enc(rng: Rng, pk: PublicKey, mu: int, p: float | None = None) -> Ciphertext:
 
 def enc_traced(
     rng: Rng, pk: PublicKey, mu: int, p: float | None = None
-) -> tuple[Ciphertext, SympVec]:
-    """Encryption that also returns the encryption noise f, for white-box checks."""
+) -> tuple[Ciphertext, BitVec]:
+    """Encryption that also returns the 2n-bit encryption noise f, for white-box checks."""
     if mu not in (0, 1):
         raise ValueError("message must be a single bit")
     f = sample_depolarizing(rng, pk.n, pk.p if p is None else p)
-    u = symp_vec_mat(f, pk.a.mat)
+    u = symp_vec_mat(f, pk.a)
     c = (symp_inner(f, pk.b) + mu) & 1
     return Ciphertext(u, c), f
 

@@ -18,7 +18,6 @@ from .gf2 import (
     BitMat,
     BitVec,
     EchelonSet,
-    SympVec,
     incremental_dual,
     permute_pairs,
     permute_rows_pairs,
@@ -132,8 +131,11 @@ def convolve_param(p: float, q: float) -> float:
     return (q - p) / (1.0 - (4.0 / 3.0) * p)
 
 
-def symmetrize_noise(rng: Rng, vec, noisy_pairs: Iterable[int], n: int):
-    """Scramble noise that is confined to a known pair set into symmetric pair noise.
+def symmetrize_noise(
+    rng: Rng, vec: BitVec, noisy_pairs: Iterable[int], n: int
+) -> tuple[BitVec, tuple[int, ...]]:
+    """Scramble 2n-bit noise that is confined to a known pair set into symmetric
+    pair noise.
 
     Draws T ~ Binomial(n, 4m/3n) (resampling while T < m, counted under
     ``reductions.symmetrize_resample``), overlays uniform pair noise on the
@@ -157,13 +159,9 @@ def symmetrize_noise(rng: Rng, vec, noisy_pairs: Iterable[int], n: int):
             break
         if j not in chosen:
             chosen.add(j)
-    carrier = vec.v if hasattr(vec, "v") else vec
-    noised = _overlay_pairs(rng, carrier, sorted(chosen), n)
+    noised = _overlay_pairs(rng, vec, sorted(chosen), n)
     perm = rng.permutation(n)
-    out = permute_pairs(noised, perm)
-    if hasattr(vec, "v"):
-        return SympVec(n, out), perm
-    return out, perm
+    return permute_pairs(noised, perm), perm
 
 
 def _overlay_pairs(rng: Rng, vec: BitVec, pairs: list[int], n: int) -> BitVec:

@@ -18,9 +18,8 @@ from .gf2 import (
     BitMat,
     BitVec,
     EchelonSet,
-    SympVec,
+    check_isotropic,
     incremental_dual,
-    is_isotropic,
     rank,
     read_fields,
     swap_halves,
@@ -35,6 +34,7 @@ __all__ = [
     "sample_bernoulli",
     "sample_isotropic",
     "sample_lsn_matrices",
+    "check_lsn_pair",
     "gen_symplpn",
     "gen_lsn",
     "gen_lpn",
@@ -110,8 +110,9 @@ class Rng:
         return self._gen
 
 
-def sample_depolarizing(rng: Rng, n: int, p: float) -> SympVec:
-    """Per-pair noise: (0,0) w.p. 1-p, each of the other three patterns w.p. p/3."""
+def sample_depolarizing(rng: Rng, n: int, p: float) -> BitVec:
+    """Per-pair noise on a 2n-bit vector, pair j at bits (j, n + j): (0,0) w.p.
+    1-p, each of the other three patterns w.p. p/3."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p out of range")
     gen = rng.numpy()
@@ -120,7 +121,7 @@ def sample_depolarizing(rng: Rng, n: int, p: float) -> SympVec:
     patterns = np.where(noisy, patterns, 0)
     lo = (patterns & 1).astype(np.uint8)
     hi = (patterns >> 1).astype(np.uint8)
-    return SympVec(n, BitVec.from_numpy(np.concatenate([lo, hi])))
+    return BitVec.from_numpy(np.concatenate([lo, hi]))
 
 
 def sample_bernoulli(rng: Rng, n: int, p: float) -> BitVec:
@@ -178,6 +179,20 @@ def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:
         b_cols.append(v)
         b_dual.restrict(v)
     return a, BitMat._trusted_cols(2 * n, b_cols)
+
+
+def check_lsn_pair(a: BitMat, b: BitMat, n: int, k: int) -> None:
+    """ValueError unless a is 2n x n, b is 2n x k, both pass ``check_isotropic``
+    and [a | b] has rank n + k: the pair ``sample_lsn_matrices`` makes."""
+    if (a.nrows, a.ncols, b.nrows, b.ncols) != (2 * n, n, 2 * n, k):
+        raise ValueError(
+            f"a is {a.nrows}x{a.ncols} and b is {b.nrows}x{b.ncols}, "
+            f"expected {2 * n}x{n} and {2 * n}x{k} for k={k}, n={n}"
+        )
+    check_isotropic(a)
+    check_isotropic(b)
+    if rank(a.hstack(b)) != n + k:
+        raise ValueError("[a | b] does not have rank n + k")
 
 
 class InstanceKind(str, enum.Enum):
@@ -264,24 +279,23 @@ class Instance:
                 f"{kind.value} matrix is {matrix.nrows}x{matrix.ncols}, "
                 f"expected {shape[0]}x{shape[1]} for k={k}, n={n}"
             )
-        if kind is InstanceKind.SYMPLPN and not is_isotropic(matrix):
-            raise ValueError("matrix is not isotropic")
+        if kind is InstanceKind.SYMPLPN:
+            check_isotropic(matrix)
         if kind is InstanceKind.LSN:
-            if not is_isotropic(matrix.take_cols(range(n))):
-                raise ValueError("a-part is not isotropic")
-            if not is_isotropic(matrix.take_cols(range(n, n + k))):
-                raise ValueError("b-part is not isotropic")
-            if rank(matrix) != n + k:
-                raise ValueError("[a | b] does not have rank n + k")
+            check_lsn_pair(matrix.take_cols(range(n)), matrix.take_cols(range(n, n + k)), n, k)
         witness = None
         if "witness" in obj:
             w = obj["witness"]
             (structured,) = read_fields(w, "witness", structured=bool)
-            witness = Witness(
-                structured=structured,
-                secret=BitVec.from_json(w["secret"]) if "secret" in w else None,
-                error=BitVec.from_json(w["error"]) if "error" in w else None,
-            )
+            parts = {}
+            for key, width in (("secret", matrix.ncols), ("error", word.nbits)):
+                if key in w:
+                    parts[key] = BitVec.from_json(w[key])
+                    if parts[key].nbits != width:
+                        raise ValueError(
+                            f"witness {key} has {parts[key].nbits} bits, expected {width}"
+                        )
+            witness = Witness(structured, **parts)
         return cls(kind, matrix, word, k, n, float(p), witness)
 
 
@@ -294,8 +308,8 @@ def gen_symplpn(
     if structured:
         x = rng.bits(k)
         e = sample_depolarizing(rng, n, p)
-        word = a.matvec(x) ^ e.v
-        witness = Witness(True, x, e.v) if keep_witness else None
+        word = a.matvec(x) ^ e
+        witness = Witness(True, x, e) if keep_witness else None
     else:
         word = rng.bits(2 * n)
         witness = Witness(False) if keep_witness else None
@@ -321,8 +335,8 @@ def gen_lsn(
     if y.nbits != k:
         raise ValueError("forced y has wrong length")
     e = sample_depolarizing(rng, n, p)
-    word = a.matvec(r) ^ b.matvec(y) ^ e.v
-    witness = Witness(True, r.concat(y), e.v) if keep_witness else None
+    word = a.matvec(r) ^ b.matvec(y) ^ e
+    witness = Witness(True, r.concat(y), e) if keep_witness else None
     return Instance(InstanceKind.LSN, a.hstack(b), word, k, n, p, witness)
 
 

@@ -17,8 +17,6 @@ from . import diagnostics
 from .gf2 import (
     BitMat,
     BitVec,
-    IsotropicCode,
-    SympVec,
     incremental_dual,
     read_fields,
     swap_halves,
@@ -67,8 +65,12 @@ class Seed:
 
 def _ordered_dual_vectors(cols: list[int], n: int) -> tuple[list[int], tuple[int, ...]]:
     """Canonical basis of the symplectic dual of span(cols), ordered by the
-    free columns of the reduced pairing system. Identical for any column set
-    with the same span, which is what lets expansion and inversion agree."""
+    free columns of the reduced pairing system; identical for any column set
+    with the same span.
+
+    ``expand`` and ``invert`` both grow this basis through ``incremental_dual``.
+    This direct computation is only the reference that ``tests/test_supke.py``
+    and ``tests/supke_exhaustive.py`` compare the incremental basis against."""
     pairing = [swap_halves(c, n) for c in cols]
     return _kernel_ints(pairing, 2 * n)
 
@@ -170,7 +172,7 @@ class SuPublicKey:
 
         Not a field, so equality, hashing and ``to_json`` ignore it.
         """
-        return PublicKey(self.n, self.p, IsotropicCode(expand(self.seed)), self.b)
+        return PublicKey(self.n, self.p, expand(self.seed), self.b)
 
     def to_json(self) -> dict:
         return {
@@ -195,13 +197,13 @@ def su_gen(rng: Rng, n: int, p: float) -> tuple[SuPublicKey, SecretKey]:
     return pk, sk
 
 
-def su_gen_traced(rng: Rng, n: int, p: float) -> tuple[SuPublicKey, SecretKey, SympVec]:
+def su_gen_traced(rng: Rng, n: int, p: float) -> tuple[SuPublicKey, SecretKey, BitVec]:
     check_p(p)
     seed = Seed(rng.bits(4 * n * n))
     a = expand(seed)
     x = rng.bits(n)
     e = sample_depolarizing(rng, n, p)
-    b = a.matvec(x) ^ e.v
+    b = a.matvec(x) ^ e
     return SuPublicKey(n, p, seed, b), SecretKey(n, x), e
 
 
@@ -212,7 +214,7 @@ def su_enc(rng: Rng, pk: SuPublicKey, mu: int, p: float | None = None) -> Cipher
 
 def su_enc_traced(
     rng: Rng, pk: SuPublicKey, mu: int, p: float | None = None
-) -> tuple[Ciphertext, SympVec]:
+) -> tuple[Ciphertext, BitVec]:
     """Encrypt exactly as with the plain public key the seed expands to.
 
     The seed is expanded on a key's first encryption only.

@@ -421,7 +421,7 @@ def test_c12_owf_uniqueness_exhaustive():
         for rv in range(1 << n):
             for yv in range(1 << k):
                 img = (
-                    idx.a.mat.matvec(BitVec(n, rv)) ^ idx.b.mat.matvec(BitVec(k, yv))
+                    idx.a.matvec(BitVec(n, rv)) ^ idx.b.matvec(BitVec(k, yv))
                 ).value
                 prev = images.get(img)
                 ok &= prev is None or prev == yv

@@ -372,7 +372,7 @@ def test_eta_weight_bounds_dot_product():
     n, p = 8, 0.2
     samples = 1_000_000
     big = sample_depolarizing(rng, n * samples, p)
-    arr = big.v.to_numpy()
+    arr = big.to_numpy()
     lo = arr[: n * samples].reshape(samples, n)
     hi = arr[n * samples :].reshape(samples, n)
     for _ in range(5):

@@ -10,15 +10,15 @@ from naive_gf2 import (
     naive_solve,
     naive_symp_inner,
 )
+from pair_vectors import from_pairs, pair
 from slpn.gf2 import (
     _PACKED_MIN_BITS,
     BitMat,
     BitVec,
     EchelonSet,
-    IsotropicCode,
-    SympVec,
     _IntDual,
     _PackedDual,
+    check_isotropic,
     column_space_basis,
     incremental_dual,
     is_isotropic,
@@ -491,10 +491,9 @@ def test_symplectic_subspace_basis_random():
 
 
 def test_pair_weight():
-    v = SympVec.from_pairs([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert v.pair_weight() == 3
-    assert pair_weight_int(v.v.value, 4) == 3
-    assert v.pair(0) == (0, 0) and v.pair(3) == (1, 1)
+    v = from_pairs([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert v == BitVec.from_bits([0, 1, 0, 1, 0, 0, 1, 1])  # pair j at bits (j, n + j)
+    assert pair_weight_int(v.value, 4) == 3
 
 
 def test_swap_halves():
@@ -506,11 +505,12 @@ def test_permute_pairs_moves_pairs_together():
     rng = np.random.default_rng(16)
     for _ in range(50):
         n = int(rng.integers(1, 7))
-        v = SympVec(n, BitVec.from_numpy(rng.integers(0, 2, size=2 * n, dtype=np.uint8)))
+        v = BitVec.from_numpy(rng.integers(0, 2, size=2 * n, dtype=np.uint8))
         perm = rng.permutation(n)
         out = permute_pairs(v, perm)
+        assert isinstance(out, BitVec) and out.nbits == 2 * n
         for j in range(n):
-            assert out.pair(int(perm[j])) == v.pair(j)
+            assert pair(out, int(perm[j])) == pair(v, j)
 
 
 def test_permute_rows_pairs_consistent_with_vectors():
@@ -524,16 +524,18 @@ def test_permute_rows_pairs_consistent_with_vectors():
     assert lhs == rhs
 
 
-# -- IsotropicCode -----------------------------------------------------------
+# -- check_isotropic ---------------------------------------------------------
 
 
-def test_isotropic_code_checked_rejects_bad_input():
-    with pytest.raises(ValueError):
-        IsotropicCode.checked(BitMat.from_cols([e_basis(2, 1), f_basis(2, 1)]))
-    with pytest.raises(ValueError):
-        IsotropicCode.checked(BitMat.from_cols([e_basis(2, 1), e_basis(2, 1)]))
-    good = IsotropicCode.checked(BitMat.from_cols([e_basis(2, 1), e_basis(2, 2)]))
-    assert good.n == 2 and good.k == 2
+def test_check_isotropic_rejects_bad_input():
+    with pytest.raises(ValueError, match="not symplectically orthogonal"):
+        check_isotropic(BitMat.from_cols([e_basis(2, 1), f_basis(2, 1)]))
+    with pytest.raises(ValueError, match="not independent"):
+        check_isotropic(BitMat.from_cols([e_basis(2, 1), e_basis(2, 1)]))
+    with pytest.raises(ValueError, match="odd row count"):
+        check_isotropic(BitMat(3, 1, [1, 0, 0]))
+    good = BitMat.from_cols([e_basis(2, 1), e_basis(2, 2)])
+    assert check_isotropic(good) is good
 
 
 # -- incremental kernels -----------------------------------------------------

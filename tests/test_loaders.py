@@ -5,10 +5,10 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from slpn.gf2 import BitMat, BitVec, IsotropicCode
+from slpn.gf2 import BitMat, BitVec
 from slpn.owf import OwfIndex, OwfInput, owf_gen, owf_sample
 from slpn.pke import Ciphertext, PublicKey, SecretKey, enc, gen
-from slpn.sampling import Instance, Rng, gen_lpn, gen_lsn, gen_symplpn, sample_isotropic
+from slpn.sampling import Instance, Rng, gen_lpn, gen_lsn, gen_symplpn
 from slpn.supke import Seed, SuPublicKey, su_gen
 
 
@@ -26,7 +26,6 @@ def _instance(rng: Rng, n: int) -> Instance:
 MAKERS = {
     BitVec: lambda rng, n: rng.bits(3 * n - 1),
     BitMat: lambda rng, n: rng.bitmat(n, 2 * n + 1),
-    IsotropicCode: lambda rng, n: IsotropicCode(sample_isotropic(rng, n, n - 1)),
     PublicKey: lambda rng, n: gen(rng, n, 0.1)[0],
     SecretKey: lambda rng, n: gen(rng, n, 0.1)[1],
     Ciphertext: lambda rng, n: enc(rng, gen(rng, n, 0.1)[0], rng.bit()),
@@ -205,3 +204,87 @@ def test_loader_rejects_mutated_payloads(case, mutation, data):
     MUTATIONS[mutation](_parent(payload, path), path[-1])
     with pytest.raises(ValueError):
         cls.from_json(payload)
+
+
+def _cols(nrows: int, bits) -> dict:
+    """JSON of the matrix whose column i is the unit vector at bits[i]."""
+    return BitMat.from_cols([BitVec.unit(nrows, i) for i in bits], nrows=nrows).to_json()
+
+
+@pytest.mark.parametrize(
+    "n, k, a_bits, b_bits",
+    [
+        # 8x3 a and 8x2 b: both isotropic, joint rank 5 = n + k, wrong shapes
+        (4, 1, [0, 1, 2], [3, 4]),
+        # 8-row matrices under n = 3: joint rank 5 = n + k again
+        (3, 2, [0, 1, 2, 3], [4]),
+    ],
+    ids=["a-and-b-widths-swapped", "rows-not-2n"],
+)
+def test_owf_index_loader_checks_the_shapes_against_n_and_k(n, k, a_bits, b_bits):
+    payload = {"n": n, "k": k, "p": 0.1, "a": _cols(8, a_bits), "b": _cols(8, b_bits)}
+    with pytest.raises(ValueError, match="expected"):
+        OwfIndex.from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: gen_lpn(rng, 3, 9, 0.1, structured=True, keep_witness=True),
+        lambda rng: gen_symplpn(rng, 3, 4, 0.1, structured=True, keep_witness=True),
+        lambda rng: gen_lsn(rng, 1, 4, 0.1, keep_witness=True),
+    ],
+    ids=["lpn", "symplpn", "lsn"],
+)
+def test_instance_loader_checks_the_witness_lengths(make):
+    inst = make(Rng(10))
+    payload = inst.to_json()
+    assert Instance.from_json(payload) == inst
+    wrong = {
+        "secret": [inst.matrix.ncols + 1, inst.matrix.ncols - 1],
+        "error": [3, inst.word.nbits + 1],
+    }
+    for key, widths in wrong.items():
+        for width in widths:
+            witness = dict(payload["witness"], **{key: BitVec.zeros(width).to_json()})
+            with pytest.raises(ValueError, match=f"witness {key}"):
+                Instance.from_json(dict(payload, witness=witness))
+
+
+def test_owf_input_loader_refuses_an_odd_length_error():
+    payload = owf_sample(Rng(11), owf_gen(Rng(11), 2, 4, 0.1)).to_json()
+    assert OwfInput.from_json(payload).e.nbits == 8
+    with pytest.raises(ValueError, match="odd"):
+        OwfInput.from_json(dict(payload, e=BitVec.zeros(7).to_json()))
+
+
+def test_code_loaders_refuse_bad_codes():
+    # public keys and symplectic instances run check_isotropic, OWF indices
+    # and LSN instances check_lsn_pair
+    e1, e2, f1, f2 = (BitVec.unit(4, i) for i in range(4))  # n = 2
+
+    def mat(*cols):
+        return BitMat.from_cols(cols, nrows=4)
+
+    zeros = BitVec.zeros(4).to_json()
+    for a, message in [
+        (mat(e1, f1), "not symplectically orthogonal"),
+        (mat(e1, e1), "not independent"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            PublicKey.from_json({"n": 2, "p": 0.1, "a": a.to_json(), "b": zeros})
+        symplpn = {"kind": "symplpn", "k": 2, "n": 2, "p": 0.1, "word": zeros}
+        with pytest.raises(ValueError, match=message):
+            Instance.from_json(dict(symplpn, matrix=a.to_json()))
+    for a, b, message in [
+        (mat(e1, f1), mat(e2), "not symplectically orthogonal"),  # joint rank n + k
+        (mat(e1, e2), mat(f1, e1 ^ f2), "not symplectically orthogonal"),  # joint rank n + k
+        (mat(e1, e2), mat(e1), "does not have rank n \\+ k"),  # both parts isotropic
+    ]:
+        k = b.ncols
+        index = {"n": 2, "k": k, "p": 0.1, "a": a.to_json(), "b": b.to_json()}
+        lsn = {"kind": "lsn", "k": k, "n": 2, "p": 0.1, "word": zeros}
+        lsn["matrix"] = a.hstack(b).to_json()
+        for load, payload in ((OwfIndex.from_json, index), (Instance.from_json, lsn)):
+            with pytest.raises(ValueError, match=message):
+                load(payload)

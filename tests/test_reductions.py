@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chisquare
 
+from pair_vectors import from_pairs, pairs
 from slpn import diagnostics
 from slpn.attacks import brute_force_search, make_brute_oracle, make_coin_oracle
 from slpn.gf2 import (
     BitMat,
     BitVec,
-    SympVec,
     is_isotropic,
     rank,
     symp_inner,
@@ -90,8 +90,8 @@ def test_convolve_param_domain():
 from exact_laws import depolarizing_law, exact_symmetrized_distribution
 
 
-def sympvec_pairs_tuple(v):
-    return tuple(a | (b << 1) for a, b in v.pairs())
+def pair_codes(v):
+    return tuple(a | (b << 1) for a, b in pairs(v))
 
 
 def test_symmetrize_all_pairs_noisy_is_uniform_overlay():
@@ -99,10 +99,10 @@ def test_symmetrize_all_pairs_noisy_is_uniform_overlay():
     n = 3
     rng = Rng(60)
     counts = Counter()
-    base = SympVec.from_pairs([(1, 1), (0, 1), (1, 0)])
+    base = from_pairs([(1, 1), (0, 1), (1, 0)])
     for _ in range(40_000):
         out, _ = symmetrize_noise(rng, base, range(n), n)
-        counts[sympvec_pairs_tuple(out)] += 1
+        counts[pair_codes(out)] += 1
     assert len(counts) == 64
     assert chisquare(list(counts.values())).pvalue > 0.001
 
@@ -114,11 +114,11 @@ def test_symmetrize_matches_exact_enumeration():
     counts = Counter()
     trials = 200_000
     for _ in range(trials):
-        noise = SympVec.from_pairs(
+        noise = from_pairs(
             [(rng.bit(), rng.bit()), (rng.bit(), rng.bit()), (0, 0), (0, 0)]
         )
         out, _ = symmetrize_noise(rng, noise, [0, 1], n)
-        counts[sympvec_pairs_tuple(out)] += 1
+        counts[pair_codes(out)] += 1
     exact = {k: float(v) for k, v in exact_symmetrized_distribution(n, m).items()}
     # sampling-noise floor at 200k draws over 256 outcomes is about 0.014
     assert empirical_tv(counts, exact) < 0.02
@@ -132,17 +132,17 @@ def test_symmetrize_moves_pairs_together():
     n = 4
     rng = Rng(62)
     for _ in range(200):
-        noise = SympVec.from_pairs([(1, 1), (1, 0), (0, 0), (0, 0)])
+        noise = from_pairs([(1, 1), (1, 0), (0, 0), (0, 0)])
         out, perm = symmetrize_noise(rng, noise, [0, 1], n)
         assert sorted(perm) == list(range(n))
-        assert isinstance(out, SympVec)
+        assert isinstance(out, BitVec) and out.nbits == 2 * n
 
 
 def test_symmetrize_resample_counter():
     diagnostics.reset("reductions.symmetrize_resample")
     rng = Rng(63)
     for _ in range(2000):
-        symmetrize_noise(rng, SympVec.zeros(4), [0, 1], 4)
+        symmetrize_noise(rng, BitVec.zeros(8), [0, 1], 4)
     # T < m happens with probability 1/9 per draw at n=4, m=2
     assert diagnostics.value("reductions.symmetrize_resample") > 100
 

@@ -128,7 +128,7 @@ def _instance_digest(inst: Instance) -> str:
 
 
 def test_depolarizing_golden_stream():
-    assert _digest(sample_depolarizing(Rng(42), 64, 0.1).v.to_hex()) == "ce600f8b17ac826b"
+    assert _digest(sample_depolarizing(Rng(42), 64, 0.1).to_hex()) == "ce600f8b17ac826b"
 
 
 @pytest.mark.parametrize(
@@ -152,7 +152,7 @@ def test_gen_golden_stream(make, digest):
 def test_depolarizing_zero_noise():
     rng = Rng(0)
     for _ in range(20):
-        assert sample_depolarizing(rng, 8, 0.0).v.is_zero()
+        assert sample_depolarizing(rng, 8, 0.0).is_zero()
 
 
 def test_depolarizing_rejects_bad_p():
@@ -161,8 +161,9 @@ def test_depolarizing_rejects_bad_p():
 
 
 def pair_counts(v) -> np.ndarray:
-    arr = v.v.to_numpy()
-    codes = arr[: v.n] + 2 * arr[v.n :]
+    arr = v.to_numpy()
+    n = v.nbits // 2
+    codes = arr[:n] + 2 * arr[n:]
     return np.bincount(codes, minlength=4)
 
 
