@@ -1,4 +1,6 @@
 """Tests for the bit-packed GF(2) and symplectic kernels."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,7 @@ from slpn.gf2 import (
     symplectic_subspace_basis,
     xor_rows,
 )
+from slpn.sampling import Rng
 
 
 def e_basis(n, i):
@@ -366,6 +369,14 @@ def test_symp_dual_dimension_identity():
         for j in range(d.ncols):
             for c in range(s.ncols):
                 assert symp_inner(d.col(j), s.col(c)) == 0
+
+
+def test_symp_dual_golden():
+    # a random 200 x 60 matrix: 2n = 200 runs on the word-packed dual, with
+    # the last word partly used; the basis order and every vector are pinned
+    d = symp_dual_basis(Rng(42).bitmat(200, 60))
+    assert d.ncols == 140
+    assert hashlib.sha256(d.to_hex().encode()).hexdigest()[:16] == "48db6fa714aa3cfb"
 
 
 def test_radical_full_space_is_trivial():

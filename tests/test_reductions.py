@@ -347,14 +347,20 @@ def test_dual_mode_unstructured_uniform():
 
 
 @pytest.mark.parametrize(
-    "n, digest", [(3, "6263bff5ec083c9f"), (4, "7288d39833fca8b9"), (8, "e749d9aa9a28098c")]
+    "n, seeds, digest",
+    [
+        (3, 12, "6263bff5ec083c9f"),
+        (4, 12, "7288d39833fca8b9"),
+        (8, 12, "e749d9aa9a28098c"),
+        (96, 2, "4df7be712e3b13d3"),  # 2n = 192: the word-packed dual
+    ],
 )
-def test_dual_mode_golden_stream(n, digest):
+def test_dual_mode_golden_stream(n, seeds, digest):
     # (h, w) on structured and uniform words over fixed seeds, each followed
     # by the next 64-bit draw: a draw of another width, or another accepted
     # draw, changes h or shifts what comes after
     out = []
-    for seed in range(12):
+    for seed in range(seeds):
         rng = Rng(900 + seed)
         inst = gen_symplpn(rng, n - 1, n, 0.1, structured=seed % 2 == 0)
         h, w = dual_mode_transform(rng, inst)

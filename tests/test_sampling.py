@@ -139,8 +139,10 @@ def test_depolarizing_golden_stream():
         (lambda: gen_symplpn(Rng(42), 32, 64, 0.1, structured=True, keep_witness=True), "03419a9486a9f937"),
         (lambda: gen_symplpn(Rng(43), 32, 64, 0.1, structured=False, keep_witness=True), "9682adb7a6c41cee"),
         (lambda: gen_lsn(Rng(42), 8, 32, 0.1, keep_witness=True), "ed2d03b391b74fd8"),
+        # 2n = 192: the b-dual is word-packed and the joint rank spans 192 bits
+        (lambda: gen_lsn(Rng(42), 8, 96, 0.1, keep_witness=True), "0bcbd8100832aa5f"),
     ],
-    ids=["lpn", "lpn-uniform", "symplpn", "symplpn-uniform", "lsn"],
+    ids=["lpn", "lpn-uniform", "symplpn", "symplpn-uniform", "lsn", "lsn-packed"],
 )
 def test_gen_golden_stream(make, digest):
     assert _instance_digest(make()) == digest
