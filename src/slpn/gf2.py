@@ -36,19 +36,25 @@ through ``__init__`` now builds 5 and 1.4 (``perfbench/run.py --trace 1``,
 
 The symplectic dual of a growing isotropic span is what ``sample_isotropic``
 and the seed expansion spend nearly all their time on: one ``restrict`` per
-accepted column and one ``combine`` per drawn column, each O(dim) row
-operations. Below 2n = 176 the basis is a list of ints and each step is a
-Python loop over rows; from 2n = 176 on it is a (words, dim) uint64 array and
-a step is a handful of whole-array numpy operations (an AND, an XOR-reduce
-over the words, a byte-table parity, one masked XOR and a short column move),
-in the word-packed style of the M4RI library. Both layouts run the same
+accepted column and one ``combine`` per drawn column. The basis is kept in
+systematic form: each vector is the unit vector at its own free position
+plus bits at the t positions that are no longer free, the pivots, as in the
+[I | R] form of a parity-check matrix. Below 2n = 144 the basis is a list of
+2n-bit ints and each step is a Python loop over rows. From 2n = 144 on only
+R is kept, as a (ceil(t/64), dim) uint64 array in the word-packed style of
+the M4RI library, and a step is a fixed number of whole-array numpy
+operations: gathers of the input's bits, an AND, an XOR-reduce and a
+popcount for the pairings, then one masked rank-1 XOR and a short column
+move. Over a Lagrangian draw at n=512 a step touches 4.5 words per basis
+vector on average, where full 2n-bit rows take 16. Both layouts run the same
 algorithm on the same basis order, so they consume randomness identically
 and return identical vectors. The cutoff is where the two cross in
-``sample_isotropic`` on a 2-core x86 host (Python 3.11, numpy 2.4): packed is
-13% slower at n=64, 4% slower at n=80 and 6% faster at n=88. At n=4 to 16 its
-fixed numpy cost per call makes it 2 to 2.5 times slower, which is why the
-int layout stays for the small sizes the reductions and the exact-law checks
-run at. At n=512 packed is 2.8 times faster.
+``sample_isotropic`` on a 2-core x86 host (Python 3.11, numpy 2.4): packed
+is 3-5% slower at n=64, ties at n=68, and is 2-5% faster at n=72 and 13-16%
+faster at n=88. At n=4 to 16 its fixed numpy cost per call makes it 2.7 to
+3.8 times slower, which is why the int layout stays for the small sizes the
+reductions and the exact-law checks run at. At n=512 the systematic layout
+draws the code 1.6 to 1.7 times faster than packed full rows did.
 
 Every int-row Gaussian elimination here is one ``EchelonSet``. The canonical
 forms (``solve``, the kernel bases, ``column_space_basis``) take pivots at
@@ -747,17 +753,7 @@ def symp_dual_basis(s: BitMat) -> BitMat:
 
 # 2n from which incremental_dual keeps the basis word-packed in numpy; the
 # measurement behind it is in the module docstring.
-_PACKED_MIN_BITS = 176
-
-_PARITY8 = np.array([bin(i).count("1") & 1 for i in range(256)], dtype=bool)
-
-
-def _word_parity(x: np.ndarray) -> np.ndarray:
-    """Parity of each uint64 of a contiguous 1-d array, XOR-folded to a byte."""
-    for half in (np.uint32, np.uint16, np.uint8):
-        pairs = x.view(half).reshape(-1, 2)
-        x = pairs[:, 0] ^ pairs[:, 1]
-    return _PARITY8[x]
+_PACKED_MIN_BITS = 144
 
 
 class _IntDual:
@@ -817,56 +813,88 @@ class _IntDual:
         return list(self.rows)
 
 
-class _PackedDual:
-    """``_IntDual`` with the basis word-packed in a (words, dim) uint64 array.
+# pivot k's bit in its word of _PackedDual.r
+_PIVOT_BIT = np.array([1 << (k ^ 7) for k in range(64)], dtype=np.uint64)
 
-    Column s holds basis vector dim-1-s: restrict drops a vector near the
-    front of the order, which this layout turns into a short move at the
-    end of each word row.
+
+class _PackedDual:
+    """``_IntDual`` with the basis kept in systematic form and word-packed.
+
+    Basis vector i is the unit vector at ``free[i]`` plus bits at the t =
+    2n - dim positions no longer free, the pivots, numbered 0..t-1 in the
+    order restrict took them. Only those pivot bits are stored: ``r`` is a
+    (words, 2n) uint64 array whose first ceil(t/64) words of column c hold
+    the pivot bits of basis vector dim-1-c, pivot k at word k // 64. Restrict
+    drops a vector near the front of the order, which the reversed columns
+    turn into a short move at the end of each word row.
+
+    An int v packed into little-endian bytes and unpacked by numpy's default
+    (big) bit order has bit p at index p ^ 7. ``piv`` and ``frev`` hold the
+    pivots and the free positions in column order, each as p ^ 7, so
+    gathers at them read v in pivot and in column order and scatters write
+    a vector back. The words of ``r`` hold pivot k at bit (k % 64) ^ 7 in the
+    same way. Unused pivot slots point at bit 2n, which an int below 2^(2n)
+    never sets.
     """
 
-    __slots__ = ("n", "free", "words", "nbytes")
+    __slots__ = ("n", "free", "nbytes", "r", "piv", "frev", "out")
 
     def __init__(self, n: int):
         m = 2 * n
         self.n = n
         self.free = list(range(m))
-        self.nbytes = 8 * ((m + 63) // 64)
-        bit = np.arange(m - 1, -1, -1)
-        self.words = np.zeros((self.nbytes // 8, m), dtype=np.uint64)
-        self.words[bit // 64, np.arange(m)] = np.left_shift(
-            np.uint64(1), (bit % 64).astype(np.uint64)
-        )
+        self.nbytes = m // 8 + 1  # room for bit m
+        words = (m + 63) // 64
+        self.r = np.zeros((words, m), dtype=np.uint64)
+        self.piv = np.full(64 * words, m ^ 7)
+        self.frev = np.arange(m - 1, -1, -1) ^ 7
+        self.out = np.zeros(8 * self.nbytes, dtype=np.uint8)  # combine's bits
 
     dim = _IntDual.dim
     coefficients = _IntDual.coefficients
 
-    def _pack(self, v: int) -> np.ndarray:
-        return np.frombuffer(v.to_bytes(self.nbytes, "little"), dtype="<u8")
-
     def restrict(self, v: int) -> bool:
         d = len(self.free)
-        words = self.words[:, :d]
-        sv = self._pack(swap_halves(v, self.n))
-        flags = _word_parity(np.bitwise_xor.reduce(words & sv[:, None], axis=0))
+        t = 2 * self.n - d
+        w = (t + 63) >> 6
+        raw = swap_halves(v, self.n).to_bytes(self.nbytes, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        sv = np.packbits(bits[self.piv[: 64 * w]]).view(np.uint64)
+        # flag c: the pairing of v with the vector in column c, the parity of
+        # its pivot bits against v's plus v's bit at its free position
+        flags = np.bitwise_count(np.bitwise_xor.reduce(self.r[:w, :d] & sv[:, None], axis=0))
+        flags ^= bits[self.frev[:d]]
+        flags &= 1
         s = d - 1 - int(flags[::-1].argmax())
         if not flags[s]:
             return False
-        words ^= words[:, s, None] & -flags.astype(np.uint64)
-        words[:, s:-1] = words[:, s + 1 :]
+        # the witness in column s gives its free position to the pivots as
+        # pivot t, and every flagged column takes it on
+        r = self.r[: (t + 64) >> 6, :d]
+        r[t >> 6, s] |= _PIVOT_BIT[t & 63]
+        r ^= r[:, s, None] * flags
+        r[:, s:-1] = r[:, s + 1 :]
+        frev = self.frev
+        self.piv[t] = frev[s]
+        frev[s : d - 1] = frev[s + 1 : d]
         del self.free[d - 1 - s]
         return True
 
     def combine(self, coeffs: int) -> int:
         d = len(self.free)
-        raw = np.frombuffer(coeffs.to_bytes((d + 7) // 8, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=d, bitorder="little")[::-1]
-        acc = np.bitwise_xor.reduce(self.words[:, :d] & -bits.astype(np.uint64), axis=1)
-        return int.from_bytes(acc.astype("<u8").tobytes(), "little")
+        w = (2 * self.n - d + 63) >> 6
+        # coeffs moved up to a byte edge, in big-endian bytes, unpack to
+        # its bits from d-1 down: in column order
+        raw = (coeffs << (-d & 7)).to_bytes((d + 7) >> 3, "big")
+        cols = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=d)
+        acc = np.bitwise_xor.reduce(self.r[:w, :d] * cols, axis=1)
+        out = self.out  # every position is written, so no stale bit remains
+        out[self.frev[:d]] = cols
+        out[self.piv[: 64 * w]] = np.unpackbits(acc.view(np.uint8))
+        return int.from_bytes(np.packbits(out).tobytes(), "little")
 
     def basis(self) -> list[int]:
-        cols = self.words[:, : len(self.free)].astype("<u8")
-        return [int.from_bytes(cols[:, s].tobytes(), "little") for s in reversed(range(cols.shape[1]))]
+        return [self.combine(1 << i) for i in range(len(self.free))]
 
 
 def incremental_dual(n: int) -> _IntDual | _PackedDual:

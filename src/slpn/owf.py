@@ -104,10 +104,13 @@ def owf_eval(index: OwfIndex, x: OwfInput) -> BitVec:
 
 
 def owf_verify_preimage(index: OwfIndex, candidate: OwfInput, target: BitVec) -> bool:
-    """True iff the candidate respects the weight cap and evaluates to target."""
-    if pair_weight_int(candidate.e.value, candidate.e.nbits // 2) > weight_cap(index):
+    """True iff the candidate respects the weight cap and evaluates to target.
+    A candidate whose dimensions do not match the index raises ValueError,
+    whatever its weight."""
+    image = owf_eval(index, candidate)
+    if pair_weight_int(candidate.e.value, index.n) > weight_cap(index):
         return False
-    return owf_eval(index, candidate) == target
+    return image == target
 
 
 def qgv_predicate(delta: float, rate: float) -> bool:

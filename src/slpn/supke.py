@@ -78,9 +78,10 @@ def _ordered_dual_vectors(cols: list[int], n: int) -> tuple[list[int], tuple[int
 def expand(seed: Seed) -> BitMat:
     """Deterministically expand a seed into a 2n x n isotropic matrix.
 
-    For each of 2n steps, consume d_i seed bits (bit index ascending) as
-    combination coefficients over the ordered dual basis of the span so far,
-    then keep the first n independent columns. The zero-padding fallback
+    For each of up to 2n steps, consume d_i seed bits (bit index ascending)
+    as combination coefficients over the ordered dual basis of the span so
+    far, and keep the first n independent columns, stopping at the n-th: a
+    later step's column would be discarded. The zero-padding fallback
     (rank below n after all steps) bumps the ``supke.expand_zero_pad``
     counter; it occurs with probability at most 4^-(n+1).
     """
@@ -94,8 +95,10 @@ def expand(seed: Seed) -> BitMat:
         w = dual.combine((bits >> pos) & ((1 << d) - 1))
         pos += d
         # restrict refuses w exactly when it lies in the span of real
-        if len(real) < n and dual.restrict(w):
+        if dual.restrict(w):
             real.append(w)
+            if len(real) == n:
+                break
     if pos > 4 * n * n:
         raise RuntimeError("dual dimensions exceeded the seed budget")
     if len(real) < n:

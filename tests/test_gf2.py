@@ -677,10 +677,12 @@ def test_solve_full_rank_batch_fewer_rows_than_columns():
     # x0 + x1 + x2 = 0, x1 = 1, x0 = 0
     assert solve_full_rank_batch(rows, np.array([[0, 1, 2]]), 3) == [0b110]
 
-@pytest.mark.parametrize("n", [1, 2, 33, 64, 100])
+@pytest.mark.parametrize("n", [1, 2, 33, 64, 88, 100, 130])
 def test_dual_layouts_agree(n):
     # same restrict/combine sequence on both layouts, including vectors
-    # outside the dual, in the span, and zero
+    # outside the dual, in the span, and zero. The pivot count grows past
+    # 1.5n, so at n = 88, 100 and 130 it crosses two or three word edges,
+    # and 2n = 176, 200 and 260 are not multiples of 64
     rng = np.random.default_rng(23 + n)
     small, packed = _IntDual(n), _PackedDual(n)
     for step in range(3 * n):

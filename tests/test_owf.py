@@ -107,6 +107,15 @@ def test_owf_eval_dimension_guard():
         owf_eval(idx, OwfInput(BitVec.zeros(4), BitVec.zeros(2), BitVec.zeros(6)))
 
 
+def test_owf_verify_preimage_checks_dimensions_before_the_cap():
+    # a 10-bit e at n=4: over the cap or not, the wrong length raises
+    idx = owf_gen(Rng(7), 2, 4, 0.1)
+    target = BitVec.zeros(8)
+    for e in (BitVec(10, (1 << 10) - 1), BitVec.zeros(10)):
+        with pytest.raises(ValueError, match="dimensions"):
+            owf_verify_preimage(idx, OwfInput(BitVec.zeros(4), BitVec.zeros(2), e), target)
+
+
 def test_owf_eval_reproduces_instance_word():
     # evaluating a generator witness gives back that instance's word
     rng = Rng(8)

@@ -32,10 +32,11 @@ from supke_exhaustive import invert_raw_probability
 
 def test_incremental_dual_matches_from_scratch():
     # the incremental canonical dual must equal the one recomputed per step,
-    # in both layouts and on both sides of the size cutoff; 2n = 66 and 200
-    # leave the last packed word partly used
+    # in both layouts and on both sides of the size cutoff; 2n = 66, 176,
+    # 200 and 260 leave the last packed word partly used, and at n = 88 and
+    # 130 the n pivots cross one and two word edges
     for layout in (_IntDual, _PackedDual, incremental_dual):
-        for n in (2, 3, 5, 8, 33, 88, 100):
+        for n in (2, 3, 5, 8, 33, 88, 100, 130):
             rng = Rng(99)
             cols = []
             inc = layout(n)
