@@ -813,8 +813,9 @@ class _IntDual:
         return list(self.rows)
 
 
-# pivot k's bit in its word of _PackedDual.r
-_PIVOT_BIT = np.array([1 << (k ^ 7) for k in range(64)], dtype=np.uint64)
+# pivot k's bit in its word of _PackedDual.r: where np.packbits puts index
+# k % 64 of a bit stream
+_PIVOT_BIT = np.packbits(np.eye(64, dtype=np.uint8), axis=1).view(np.uint64)[:, 0]
 
 
 class _PackedDual:
@@ -832,9 +833,9 @@ class _PackedDual:
     (big) bit order has bit p at index p ^ 7. ``piv`` and ``frev`` hold the
     pivots and the free positions in column order, each as p ^ 7, so
     gathers at them read v in pivot and in column order and scatters write
-    a vector back. The words of ``r`` hold pivot k at bit (k % 64) ^ 7 in the
-    same way. Unused pivot slots point at bit 2n, which an int below 2^(2n)
-    never sets.
+    a vector back. The words of ``r`` hold the pivot bits as ``np.packbits``
+    packs that stream. Unused pivot slots point at bit 2n, which an int below
+    2^(2n) never sets.
     """
 
     __slots__ = ("n", "free", "nbytes", "r", "piv", "frev", "out")
@@ -855,6 +856,8 @@ class _PackedDual:
 
     def restrict(self, v: int) -> bool:
         d = len(self.free)
+        if not d:  # the span is all of Z_2^{2n}
+            return False
         t = 2 * self.n - d
         w = (t + 63) >> 6
         raw = swap_halves(v, self.n).to_bytes(self.nbytes, "little")

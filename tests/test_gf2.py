@@ -371,6 +371,13 @@ def test_symp_dual_dimension_identity():
                 assert symp_inner(d.col(j), s.col(c)) == 0
 
 
+def test_symp_dual_of_a_spanning_matrix_is_empty():
+    # more columns than it takes to span Z_2^{2n}: restrict then meets an
+    # empty dual, on both layouts
+    for n in (5, 100):
+        assert symp_dual_basis(Rng(1).bitmat(2 * n, 2 * n + 10)).ncols == 0
+
+
 def test_symp_dual_golden():
     # a random 200 x 60 matrix: 2n = 200 runs on the word-packed dual, with
     # the last word partly used; the basis order and every vector are pinned
