@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from slpn.gf2 import BitMat, BitVec, is_isotropic, rank, solve, symp_inner
+from slpn.gf2 import BitMat, BitVec, incremental_dual, is_isotropic, rank, solve, symp_inner
 from slpn.sampling import (
     HyperplaneRotation,
     Instance,
@@ -105,12 +105,61 @@ def test_rng_mixed_draw_golden_stream():
     assert _digest(repr(out)) == "f7d983794a552fa9"
 
 
+def _state(rng: Rng) -> str:
+    state = rng.numpy().bit_generator.state
+    return json.dumps(state, sort_keys=True, default=lambda a: a.tolist())
+
+
+def test_rng_bits_runs_of_one_bulk_draw_equal_separate_draws():
+    # bits(d) takes ceil(ceil(d/8)/4) whole 32-bit words of the stream and
+    # keeps their first d bits, so one bits(32 * W) draw cut into those runs
+    # gives the same values as one draw per d, and leaves the same state.
+    # Sizes cover the one-word scalar path (d <= 32), d off a byte edge and
+    # the dimensions of a dual basis
+    for sizes in ([1, 7, 8, 9, 31, 32, 33], [64, 65, 100, 255, 3], [1024 - j for j in range(40)]):
+        words = [((d + 7) // 8 + 3) // 4 for d in sizes]
+        one, many = Rng(7), Rng(7)
+        bulk = one.bits(32 * sum(words)).value
+        pos = 0
+        for d, w in zip(sizes, words):
+            assert (bulk >> pos) & ((1 << d) - 1) == many.bits(d).value
+            pos += 32 * w
+        assert _state(one) == _state(many)
+        assert one.bits(64) == many.bits(64)
+
+
 @pytest.mark.parametrize(
     "n, digest",
     [(4, "0fab7176a28849d3"), (64, "74002034d1dfb979"), (512, "033e22c63b85a78d")],
 )
 def test_sample_isotropic_golden_stream(n, digest):
     assert _digest(sample_isotropic(Rng(42), n, n).to_hex()) == digest
+
+
+def _per_column_isotropic(rng: Rng, n: int, k: int) -> tuple[BitMat, int]:
+    """Reference for ``sample_isotropic``: one ``bits(dim)`` draw, one
+    ``combine`` and one ``restrict`` per drawn column. Also returns how
+    many drawn columns fell in the span and were rejected."""
+    dual = incremental_dual(n)
+    cols, rejected = [], 0
+    while len(cols) < k:
+        v = dual.combine(rng.bits(dual.dim).value)
+        if dual.restrict(v):
+            cols.append(v)
+        else:
+            rejected += 1
+    return BitMat._trusted_cols(2 * n, cols), rejected
+
+
+@pytest.mark.parametrize("n, seed", [(72, 5), (88, 0), (88, 5), (130, 7)])
+def test_sample_isotropic_matches_per_column_loop_through_rejections(n, seed):
+    # seeds on which a drawn column lands in the span at least once, so that
+    # the draw after a rejection is checked too, and the stream after it
+    want, rejected = _per_column_isotropic(ref := Rng(seed), n, n)
+    assert rejected >= 1
+    got = sample_isotropic(rng := Rng(seed), n, n)
+    assert got == want
+    assert rng.bits(64) == ref.bits(64)
 
 
 def test_expand_golden_stream():

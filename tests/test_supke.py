@@ -80,6 +80,35 @@ def test_expand_output_structure():
                 assert rank(m) == n
 
 
+def _per_step_expand(seed: Seed) -> tuple[BitMat, int]:
+    """Reference for ``expand``: one ``combine`` and one ``restrict`` per
+    step. Also returns how many steps fell in the span and were rejected."""
+    n, bits = seed.n, seed.bits.value
+    dual = incremental_dual(n)
+    pos, real, rejected = 0, [], 0
+    for _ in range(2 * n):
+        d = dual.dim
+        w = dual.combine((bits >> pos) & ((1 << d) - 1))
+        pos += d
+        if dual.restrict(w):
+            real.append(w)
+            if len(real) == n:
+                break
+        else:
+            rejected += 1
+    real.extend([0] * (n - len(real)))
+    return BitMat._trusted_cols(2 * n, real), rejected
+
+
+@pytest.mark.parametrize("n, seed", [(72, 0), (72, 6), (130, 1)])
+def test_expand_matches_per_step_loop_through_rejections(n, seed):
+    # seeds whose expansion meets a step in the span at least once
+    s = Seed(Rng(seed).bits(4 * n * n))
+    want, rejected = _per_step_expand(s)
+    assert rejected >= 1
+    assert expand(s) == want
+
+
 def test_expand_zero_pad_rate_bounded():
     # the fallback probability is at most 4^-(n+1): about 1.6% at n = 2
     rng = Rng(77)
