@@ -35,26 +35,32 @@ through ``__init__`` now builds 5 and 1.4 (``perfbench/run.py --trace 1``,
 ``reductions.gf2.bitvec_init.calls`` and ``bitmat_init.calls``).
 
 The symplectic dual of a growing isotropic span is what ``sample_isotropic``
-and the seed expansion spend nearly all their time on: one ``restrict`` per
-accepted column and one ``combine`` per drawn column. The basis is kept in
+and the seed expansion spend nearly all their time on. The basis is kept in
 systematic form: each vector is the unit vector at its own free position
 plus bits at the t positions that are no longer free, the pivots, as in the
-[I | R] form of a parity-check matrix. Below 2n = 144 the basis is a list of
-2n-bit ints and each step is a Python loop over rows. From 2n = 144 on only
-R is kept, as a (ceil(t/64), dim) uint64 array in the word-packed style of
-the M4RI library, and a step is a fixed number of whole-array numpy
-operations: gathers of the input's bits, an AND, an XOR-reduce and a
-popcount for the pairings, then one masked rank-1 XOR and a short column
-move. Over a Lagrangian draw at n=512 a step touches 4.5 words per basis
-vector on average, where full 2n-bit rows take 16. Both layouts run the same
-algorithm on the same basis order, so they consume randomness identically
-and return identical vectors. The cutoff is where the two cross in
-``sample_isotropic`` on a 2-core x86 host (Python 3.11, numpy 2.4): packed
-is 3-5% slower at n=64, ties at n=68, and is 2-5% faster at n=72 and 13-16%
-faster at n=88. At n=4 to 16 its fixed numpy cost per call makes it 2.7 to
-3.8 times slower, which is why the int layout stays for the small sizes the
-reductions and the exact-law checks run at. At n=512 the systematic layout
-draws the code 1.6 to 1.7 times faster than packed full rows did.
+[I | R] form of a parity-check matrix. Both layouts have one fused step per
+drawn column, ``extend``: combine the basis vectors that the coefficients
+select and restrict the basis by the result, which is returned, or 0 when it
+already lies in the span. Below 2n = 128 the basis is a list of 2n-bit ints
+and each step is a Python loop over rows. From 2n = 128 on only R is kept,
+as a (ceil(t/64), dim) uint64 array in the word-packed style of the M4RI
+library, and a step is a fixed number of whole-array numpy operations: a
+masked XOR-reduce over R and two scatters write the combination into a bit
+buffer, gathers at the swapped-half positions read its pairings straight
+from that buffer, and an AND, an XOR-reduce, a popcount, one masked rank-1
+XOR and a short column move do the restriction. Over a Lagrangian draw at
+n=512 a step touches 4.5 words per basis vector on average, where full
+2n-bit rows take 16. Both layouts run the same algorithm on the same basis
+order, so they consume randomness identically and return identical vectors.
+The cutoff was measured on a 2-core x86 host (Python 3.11, numpy 2.4),
+packed time over int time, median of 10 alternating rounds of best-of-5: at
+n=64 ``sample_isotropic`` 0.61, ``sample_lsn_matrices`` 0.85, ``invert``
+1.01 and ``expand`` 1.03; at n=56 0.76, 0.83, 1.10 and 1.17; at n=48 0.81,
+0.95, 1.18 and 1.32. So 2n = 128 is the smallest size at which no caller
+loses more than a few percent. At n=16 the fixed numpy cost per call makes
+the packed ``sample_isotropic`` 2.2 times slower, which is why the int
+layout stays for the small sizes the reductions and the exact-law checks
+run at.
 
 Every int-row Gaussian elimination here is one ``EchelonSet``. The canonical
 forms (``solve``, the kernel bases, ``column_space_basis``) take pivots at
@@ -753,7 +759,7 @@ def symp_dual_basis(s: BitMat) -> BitMat:
 
 # 2n from which incremental_dual keeps the basis word-packed in numpy; the
 # measurement behind it is in the module docstring.
-_PACKED_MIN_BITS = 144
+_PACKED_MIN_BITS = 128
 
 
 class _IntDual:
@@ -763,8 +769,7 @@ class _IntDual:
     basis vector i has bit ``free[i]`` set and no other bit listed in
     ``free``. The basis is then the canonical one, whatever columns spanned
     it, and a dual element's coefficients can be read off its free bits. The
-    tests check it against ``supke._ordered_dual_vectors``, which recomputes
-    the basis directly and which nothing in the package calls.
+    tests check it against a from-scratch recomputation of the basis.
     """
 
     __slots__ = ("n", "free", "rows")
@@ -800,6 +805,12 @@ class _IntDual:
         """Sum of the basis vectors selected by the bits of coeffs."""
         return xor_rows(self.rows, coeffs)
 
+    def extend(self, coeffs: int) -> int:
+        """``combine(coeffs)`` added to the span by ``restrict``: the new span
+        vector, or 0, changing nothing, when it lies in the span already."""
+        v = xor_rows(self.rows, coeffs)
+        return v if self.restrict(v) else 0
+
     def coefficients(self, v: int) -> int:
         """The coeffs with ``combine(coeffs) == v`` for a v in the span: the
         bits of v at the free columns, gathered from its binary string in C
@@ -829,13 +840,17 @@ class _PackedDual:
     drops a vector near the front of the order, which the reversed columns
     turn into a short move at the end of each word row.
 
-    An int v packed into little-endian bytes and unpacked by numpy's default
-    (big) bit order has bit p at index p ^ 7. ``piv`` and ``frev`` hold the
-    pivots and the free positions in column order, each as p ^ 7, so
-    gathers at them read v in pivot and in column order and scatters write
-    a vector back. The words of ``r`` hold the pivot bits as ``np.packbits``
-    packs that stream. Unused pivot slots point at bit 2n, which an int below
-    2^(2n) never sets.
+    A vector travels as a bit buffer: an int packed into little-endian bytes
+    and unpacked by numpy's default (big) bit order has bit p at index p ^ 7.
+    Row 0 of ``piv`` and of ``frev`` holds the pivots and the free positions
+    in column order, each as p ^ 7, so scatters at it write a combination
+    into a buffer. Row 1 holds the same positions with their halves
+    swapped, p +- n, so gathers at it read the buffer's pairing with each
+    pivot and free position; one move updates both rows. The fused step
+    ``extend_bits`` combines into a buffer and restricts by the vector
+    there, with no int in between. The words of ``r`` hold the pivot bits
+    as ``np.packbits`` packs that stream. Unused pivot slots point at bit
+    2n, which a buffer never sets.
     """
 
     __slots__ = ("n", "free", "nbytes", "r", "piv", "frev", "out")
@@ -847,26 +862,41 @@ class _PackedDual:
         self.nbytes = m // 8 + 1  # room for bit m
         words = (m + 63) // 64
         self.r = np.zeros((words, m), dtype=np.uint64)
-        self.piv = np.full(64 * words, m ^ 7)
-        self.frev = np.arange(m - 1, -1, -1) ^ 7
-        self.out = np.zeros(8 * self.nbytes, dtype=np.uint8)  # combine's bits
+        self.piv = np.full((2, 64 * words), m ^ 7)
+        cols = np.arange(m - 1, -1, -1)
+        self.frev = np.stack((cols, (cols + n) % m)) ^ 7
+        self.out = np.zeros(8 * self.nbytes, dtype=np.uint8)  # a vector's bits
 
     dim = _IntDual.dim
     coefficients = _IntDual.coefficients
 
-    def restrict(self, v: int) -> bool:
+    def _coeff_bits(self, coeffs: int) -> np.ndarray:
+        # coeffs moved up to a byte edge, in big-endian bytes, unpack to
+        # its bits from d-1 down: in column order
+        d = len(self.free)
+        raw = (coeffs << (-d & 7)).to_bytes((d + 7) >> 3, "big")
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=d)
+
+    def _combine_into(self, cols: np.ndarray, out: np.ndarray) -> None:
+        # every position is written, so no stale bit remains
+        d = len(self.free)
+        w = (2 * self.n - d + 63) >> 6
+        acc = np.bitwise_xor.reduce(self.r[:w, :d] * cols, axis=1)
+        out[self.frev[0, :d]] = cols
+        out[self.piv[0, : 64 * w]] = np.unpackbits(acc.view(np.uint8))
+
+    def _restrict_bits(self, bits: np.ndarray) -> bool:
         d = len(self.free)
         if not d:  # the span is all of Z_2^{2n}
             return False
         t = 2 * self.n - d
         w = (t + 63) >> 6
-        raw = swap_halves(v, self.n).to_bytes(self.nbytes, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        sv = np.packbits(bits[self.piv[: 64 * w]]).view(np.uint64)
-        # flag c: the pairing of v with the vector in column c, the parity of
-        # its pivot bits against v's plus v's bit at its free position
+        sv = np.packbits(bits[self.piv[1, : 64 * w]]).view(np.uint64)
+        # flag c: the pairing of the vector with the one in column c, the
+        # parity of its pivot bits against the vector's swapped ones plus
+        # the vector's swapped bit at its free position
         flags = np.bitwise_count(np.bitwise_xor.reduce(self.r[:w, :d] & sv[:, None], axis=0))
-        flags ^= bits[self.frev[:d]]
+        flags ^= bits[self.frev[1, :d]]
         flags &= 1
         s = d - 1 - int(flags[::-1].argmax())
         if not flags[s]:
@@ -878,23 +908,34 @@ class _PackedDual:
         r ^= r[:, s, None] * flags
         r[:, s:-1] = r[:, s + 1 :]
         frev = self.frev
-        self.piv[t] = frev[s]
-        frev[s : d - 1] = frev[s + 1 : d]
+        self.piv[:, t] = frev[:, s]
+        frev[:, s : d - 1] = frev[:, s + 1 : d]
         del self.free[d - 1 - s]
         return True
 
+    def _to_int(self, bits: np.ndarray) -> int:
+        return int.from_bytes(np.packbits(bits).tobytes(), "little")
+
+    def restrict(self, v: int) -> bool:
+        raw = v.to_bytes(self.nbytes, "little")
+        return self._restrict_bits(np.unpackbits(np.frombuffer(raw, dtype=np.uint8)))
+
     def combine(self, coeffs: int) -> int:
-        d = len(self.free)
-        w = (2 * self.n - d + 63) >> 6
-        # coeffs moved up to a byte edge, in big-endian bytes, unpack to
-        # its bits from d-1 down: in column order
-        raw = (coeffs << (-d & 7)).to_bytes((d + 7) >> 3, "big")
-        cols = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=d)
-        acc = np.bitwise_xor.reduce(self.r[:w, :d] * cols, axis=1)
-        out = self.out  # every position is written, so no stale bit remains
-        out[self.frev[:d]] = cols
-        out[self.piv[: 64 * w]] = np.unpackbits(acc.view(np.uint8))
-        return int.from_bytes(np.packbits(out).tobytes(), "little")
+        self._combine_into(self._coeff_bits(coeffs), self.out)
+        return self._to_int(self.out)
+
+    def extend_bits(self, cols: np.ndarray, out: np.ndarray) -> bool:
+        """The fused step on bit buffers: the combination selected by
+        ``cols`` (one uint8 bit per column, column c for basis vector
+        dim-1-c) is written to ``out``, a zeroed buffer of 8 * nbytes bits
+        or one this method wrote before, and restricted by. True when it was
+        outside the span and is now in it."""
+        self._combine_into(cols, out)
+        return self._restrict_bits(out)
+
+    def extend(self, coeffs: int) -> int:
+        out = self.out
+        return self._to_int(out) if self.extend_bits(self._coeff_bits(coeffs), out) else 0
 
     def basis(self) -> list[int]:
         return [self.combine(1 << i) for i in range(len(self.free))]

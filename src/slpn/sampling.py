@@ -24,6 +24,7 @@ from .gf2 import (
     read_fields,
     swap_halves,
 )
+from .gf2 import _PackedDual
 
 __all__ = [
     "Rng",
@@ -75,7 +76,10 @@ class Rng:
         gives the same bits and leaves the stream where ``bytes`` would
         (``test_rng_mixed_draw_golden_stream`` pins it). On a 2-core x86
         host (Python 3.11, numpy 2.4) a draw of 8 or 32 bits takes 4.3-5.0 us
-        this way against 12.1-12.8 us through ``bytes``.
+        this way against 12.1-12.8 us through ``bytes``. Either way a draw
+        takes whole words, so one ``bits(32 * W)`` draw cut into runs of
+        ceil(ceil(d/8)/4) words gives what separate ``bits(d)`` draws give,
+        and leaves the same state; ``sample_isotropic`` relies on this.
         """
         if count <= 0:
             return BitVec(count)  # no bits, or ValueError for a negative count
@@ -136,19 +140,60 @@ def sample_isotropic(rng: Rng, n: int, k: int) -> BitMat:
     """Uniform 2n x k full-column-rank matrix with symplectically orthogonal columns.
 
     Built column by column: each new column is uniform in the symplectic dual
-    of the previous ones, rejecting vectors inside their span.
+    of the previous ones, rejecting vectors inside their span. The span is
+    the dual of the dual, so a vector lies in it exactly when it pairs to 0
+    with every dual vector, and ``extend`` then refuses it.
     """
     if k > n:
         raise ValueError("an isotropic subspace of Z_2^{2n} has dimension at most n")
     dual = incremental_dual(n)
+    if isinstance(dual, _PackedDual):
+        return _isotropic_packed(rng, dual, k)
     cols = []
     while len(cols) < k:
-        v = dual.combine(rng.bits(dual.dim).value)
-        # the span is the dual of the dual: v lies in it exactly when it
-        # pairs to 0 with every dual vector, and restrict then refuses it
-        if dual.restrict(v):
+        v = dual.extend(rng.bits(dual.dim).value)
+        if v:
             cols.append(v)
     return BitMat._trusted_cols(2 * n, cols)
+
+
+def _words(d: int) -> int:
+    """The 32-bit words of the stream that ``Rng.bits(d)`` takes."""
+    return ((d + 7) // 8 + 3) // 4
+
+
+def _isotropic_packed(rng: Rng, dual: _PackedDual, k: int) -> BitMat:
+    """``sample_isotropic`` on the packed layout, with the same stream.
+
+    One ``rng.bits`` call draws the words that one ``rng.bits(dim)`` call
+    per remaining column would, and the columns take them in runs in that
+    order. A rejected column's run is spent as a per-column draw would
+    spend it, so the words run out early; the next call then draws what the
+    columns left would take if all were kept, so no word is drawn that the
+    per-column loop would not draw. Each column is combined into its own
+    row of bits, and the matrix is packed from those rows once.
+    """
+    m = 2 * dual.n
+    rows = np.zeros((k, 8 * dual.nbytes), dtype=np.uint8)
+    # the drawn bits not yet taken, last first, so that a run read from the
+    # end lists its coefficients in column order
+    stream = np.zeros(0, dtype=np.uint8)
+    end = j = 0
+    while j < k:
+        d = m - j
+        run = 32 * _words(d)
+        if run > end:
+            more = sum(_words(m - i) for i in range(j, k)) - end // 32
+            raw = rng.bits(32 * more).value.to_bytes(4 * more, "little")
+            fresh = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+            stream = np.concatenate((fresh[::-1], stream[:end]))
+            end = len(stream)
+        if dual.extend_bits(stream[end - d : end], rows[j]):
+            j += 1
+        end -= run
+    # row j holds column j's bit p at p ^ 7
+    packed = np.packbits(rows[:, np.arange(m) ^ 7].T, axis=1, bitorder="little")
+    return BitMat._trusted(m, k, tuple(int.from_bytes(r.tobytes(), "little") for r in packed))
 
 
 def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:

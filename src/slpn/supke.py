@@ -19,10 +19,8 @@ from .gf2 import (
     BitVec,
     incremental_dual,
     read_fields,
-    swap_halves,
     xor_rows,
 )
-from .gf2 import _kernel_ints
 from .pke import Ciphertext, PublicKey, SecretKey, check_p
 from .pke import dec as _pke_dec, enc_traced as _pke_enc_traced
 from .sampling import Rng, sample_depolarizing
@@ -63,18 +61,6 @@ class Seed:
         return cls(BitVec.from_hex(4 * n * n, hexstr))
 
 
-def _ordered_dual_vectors(cols: list[int], n: int) -> tuple[list[int], tuple[int, ...]]:
-    """Canonical basis of the symplectic dual of span(cols), ordered by the
-    free columns of the reduced pairing system; identical for any column set
-    with the same span.
-
-    ``expand`` and ``invert`` both grow this basis through ``incremental_dual``.
-    This direct computation is only the reference that ``tests/test_supke.py``
-    and ``tests/supke_exhaustive.py`` compare the incremental basis against."""
-    pairing = [swap_halves(c, n) for c in cols]
-    return _kernel_ints(pairing, 2 * n)
-
-
 def expand(seed: Seed) -> BitMat:
     """Deterministically expand a seed into a 2n x n isotropic matrix.
 
@@ -92,10 +78,10 @@ def expand(seed: Seed) -> BitMat:
     dual = incremental_dual(n)
     for _ in range(2 * n):
         d = dual.dim
-        w = dual.combine((bits >> pos) & ((1 << d) - 1))
+        w = dual.extend((bits >> pos) & ((1 << d) - 1))
         pos += d
-        # restrict refuses w exactly when it lies in the span of real
-        if dual.restrict(w):
+        # extend refuses the combination exactly when it lies in the span
+        if w:
             real.append(w)
             if len(real) == n:
                 break

@@ -7,8 +7,21 @@ success, invert is uniform over expand-preimages.
 """
 from fractions import Fraction
 
-from slpn.gf2 import BitMat, xor_rows
-from slpn.supke import Seed, _ordered_dual_vectors, expand
+from slpn.gf2 import BitMat, swap_halves, xor_rows
+from slpn.gf2 import _kernel_ints
+from slpn.supke import Seed, expand
+
+
+def ordered_dual_vectors(cols: list[int], n: int) -> tuple[list[int], tuple[int, ...]]:
+    """Canonical basis of the symplectic dual of span(cols), ordered by the
+    free columns of the reduced pairing system; identical for any column set
+    with the same span.
+
+    ``expand`` and ``invert`` grow this basis one column at a time through
+    ``incremental_dual``; this recomputes it from scratch, as the reference
+    the incremental basis is checked against."""
+    pairing = [swap_halves(c, n) for c in cols]
+    return _kernel_ints(pairing, 2 * n)
 
 
 def invert_raw_probability(seed: Seed, target: BitMat) -> Fraction | None:
@@ -22,7 +35,7 @@ def invert_raw_probability(seed: Seed, target: BitMat) -> Fraction | None:
     real: list[int] = []
     prob = Fraction(1)
     for _ in range(2 * n):
-        dual, _ = _ordered_dual_vectors(real, n)
+        dual, _ = ordered_dual_vectors(real, n)
         d = len(dual)
         coeffs = (bits >> pos) & ((1 << d) - 1)
         pos += d

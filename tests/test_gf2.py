@@ -684,12 +684,13 @@ def test_solve_full_rank_batch_fewer_rows_than_columns():
     # x0 + x1 + x2 = 0, x1 = 1, x0 = 0
     assert solve_full_rank_batch(rows, np.array([[0, 1, 2]]), 3) == [0b110]
 
-@pytest.mark.parametrize("n", [1, 2, 33, 64, 88, 100, 130])
+@pytest.mark.parametrize("n", [1, 2, 33, 63, 64, 88, 100, 130])
 def test_dual_layouts_agree(n):
-    # same restrict/combine sequence on both layouts, including vectors
-    # outside the dual, in the span, and zero. The pivot count grows past
-    # 1.5n, so at n = 88, 100 and 130 it crosses two or three word edges,
-    # and 2n = 176, 200 and 260 are not multiples of 64
+    # same restrict/combine/extend sequence on both layouts, including
+    # vectors outside the dual, in the span, and zero. The pivot count grows
+    # past 1.5n, so at n = 88, 100 and 130 it crosses two or three word
+    # edges, and 2n = 176, 200 and 260 are not multiples of 64. n = 63 and
+    # 64 sit on either side of the size cutoff
     rng = np.random.default_rng(23 + n)
     small, packed = _IntDual(n), _PackedDual(n)
     for step in range(3 * n):
@@ -697,6 +698,7 @@ def test_dual_layouts_agree(n):
         assert packed.dim == d
         if d == 0:
             assert small.coefficients(0) == packed.coefficients(0) == 0
+            assert small.extend(0) == packed.extend(0) == 0
             break
         coeffs = int.from_bytes(rng.bytes((d + 7) // 8), "little") & ((1 << d) - 1)
         v = small.combine(coeffs)
@@ -704,11 +706,17 @@ def test_dual_layouts_agree(n):
         assert small.coefficients(v) == packed.coefficients(v) == coeffs
         assert small.combine(0) == packed.combine(0) == 0
         kind = step % 4
-        if kind == 1:
-            v = int.from_bytes(rng.bytes((2 * n + 7) // 8), "little") & ((1 << 2 * n) - 1)
-        elif kind == 2:
-            v = 0
-        assert small.restrict(v) == packed.restrict(v)
+        if kind == 3:
+            # the fused step: the combination, or 0 when it is in the span
+            got = small.extend(coeffs)
+            assert got in (v, 0)
+            assert packed.extend(coeffs) == got
+        else:
+            if kind == 1:
+                v = int.from_bytes(rng.bytes((2 * n + 7) // 8), "little") & ((1 << 2 * n) - 1)
+            elif kind == 2:
+                v = 0
+            assert small.restrict(v) == packed.restrict(v)
         assert small.basis() == packed.basis()
         assert small.free == packed.free
 

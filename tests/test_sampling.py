@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from slpn.gf2 import BitMat, BitVec, incremental_dual, is_isotropic, rank, solve, symp_inner
+from slpn.gf2 import BitMat, BitVec, _IntDual, is_isotropic, rank, solve, symp_inner
 from slpn.sampling import (
     HyperplaneRotation,
     Instance,
@@ -138,9 +138,10 @@ def test_sample_isotropic_golden_stream(n, digest):
 
 def _per_column_isotropic(rng: Rng, n: int, k: int) -> tuple[BitMat, int]:
     """Reference for ``sample_isotropic``: one ``bits(dim)`` draw, one
-    ``combine`` and one ``restrict`` per drawn column. Also returns how
-    many drawn columns fell in the span and were rejected."""
-    dual = incremental_dual(n)
+    ``combine`` and one ``restrict`` per drawn column, on the int layout at
+    every size. Also returns how many drawn columns fell in the span and
+    were rejected."""
+    dual = _IntDual(n)
     cols, rejected = [], 0
     while len(cols) < k:
         v = dual.combine(rng.bits(dual.dim).value)
@@ -159,6 +160,14 @@ def test_sample_isotropic_matches_per_column_loop_through_rejections(n, seed):
     assert rejected >= 1
     got = sample_isotropic(rng := Rng(seed), n, n)
     assert got == want
+    assert rng.bits(64) == ref.bits(64)
+
+
+@pytest.mark.parametrize("n, k", [(64, 0), (64, 1), (200, 150)])
+def test_sample_isotropic_matches_per_column_loop_below_n_columns(n, k):
+    # the bulk draw is sized for the k columns asked for, not for n
+    want, _ = _per_column_isotropic(ref := Rng(3), n, k)
+    assert sample_isotropic(rng := Rng(3), n, k) == want
     assert rng.bits(64) == ref.bits(64)
 
 

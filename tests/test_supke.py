@@ -26,8 +26,7 @@ from slpn.supke import (
     su_gen,
     su_gen_traced,
 )
-from slpn.supke import _ordered_dual_vectors
-from supke_exhaustive import invert_raw_probability
+from supke_exhaustive import invert_raw_probability, ordered_dual_vectors
 
 
 def test_incremental_dual_matches_from_scratch():
@@ -46,7 +45,7 @@ def test_incremental_dual_matches_from_scratch():
                 cols.append(v)
                 assert inc.restrict(v)
                 assert not inc.restrict(v)  # now in the span: refused, no change
-                vecs, free = _ordered_dual_vectors(cols, n)
+                vecs, free = ordered_dual_vectors(cols, n)
                 assert inc.basis() == vecs
                 assert tuple(inc.free) == free
                 assert inc.dim == len(vecs)
@@ -82,9 +81,10 @@ def test_expand_output_structure():
 
 def _per_step_expand(seed: Seed) -> tuple[BitMat, int]:
     """Reference for ``expand``: one ``combine`` and one ``restrict`` per
-    step. Also returns how many steps fell in the span and were rejected."""
+    step, on the int layout at every size. Also returns how many steps fell
+    in the span and were rejected."""
     n, bits = seed.n, seed.bits.value
-    dual = incremental_dual(n)
+    dual = _IntDual(n)
     pos, real, rejected = 0, [], 0
     for _ in range(2 * n):
         d = dual.dim
