@@ -938,7 +938,15 @@ class _PackedDual:
         return self._to_int(out) if self.extend_bits(self._coeff_bits(coeffs), out) else 0
 
     def basis(self) -> list[int]:
-        return [self.combine(1 << i) for i in range(len(self.free))]
+        # all basis vectors at once, row c laid out as _combine_into lays
+        # out the vector in column c, then the rows from the last column on
+        d = len(self.free)
+        w = (2 * self.n - d + 63) >> 6
+        rows = np.zeros((d, 8 * self.nbytes), dtype=np.uint8)
+        rows[np.arange(d), self.frev[0, :d]] = 1
+        words = np.ascontiguousarray(self.r[:w, :d].T)
+        rows[:, self.piv[0, : 64 * w]] = np.unpackbits(words.view(np.uint8), axis=1)
+        return [int.from_bytes(b.tobytes(), "little") for b in np.packbits(rows[::-1], axis=1)]
 
 
 def incremental_dual(n: int) -> _IntDual | _PackedDual:
