@@ -913,7 +913,8 @@ class _PackedDual:
         del self.free[d - 1 - s]
         return True
 
-    def _to_int(self, bits: np.ndarray) -> int:
+    @staticmethod
+    def _to_int(bits: np.ndarray) -> int:
         return int.from_bytes(np.packbits(bits).tobytes(), "little")
 
     def restrict(self, v: int) -> bool:

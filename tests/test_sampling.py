@@ -20,6 +20,7 @@ from slpn.sampling import (
     sample_isotropic,
     sample_lsn_matrices,
 )
+from slpn.sampling import _isotropic_packed
 from slpn.supke import Seed, expand, invert
 
 
@@ -168,6 +169,37 @@ def test_sample_isotropic_matches_per_column_loop_below_n_columns(n, k):
     # the bulk draw is sized for the k columns asked for, not for n
     want, _ = _per_column_isotropic(ref := Rng(3), n, k)
     assert sample_isotropic(rng := Rng(3), n, k) == want
+    assert rng.bits(64) == ref.bits(64)
+
+
+class _ScriptedDual:
+    """Stands in for the packed dual in the bulk-draw loop: keeps the
+    coefficients each attempt is given and refuses the attempts listed."""
+
+    def __init__(self, n: int, refuse: set[int]):
+        self.n, self.nbytes = n, 2 * n // 8 + 1
+        self.refuse, self.seen = refuse, []
+
+    def extend_bits(self, cols: np.ndarray, out: np.ndarray) -> bool:
+        # cols lists coefficient bit d-1 first
+        self.seen.append(int("0" + "".join(map(str, cols)), 2))
+        return len(self.seen) - 1 not in self.refuse
+
+
+@pytest.mark.parametrize("refuse", [{0}, {1, 2}, {40}, {71}, {0, 72, 73}])
+def test_bulk_draw_gives_each_attempt_its_per_column_bits(refuse):
+    # refusals early on, where a column's run of words is longer than the
+    # last columns' runs, leave part of a run over when the draw runs out;
+    # real draws almost never land in the span that early
+    n = 72
+    dual = _ScriptedDual(n, refuse)
+    _isotropic_packed(rng := Rng(9), dual, n)
+    ref, want, kept = Rng(9), [], 0
+    while kept < n:
+        attempt = len(want)
+        want.append(ref.bits(2 * n - kept).value)
+        kept += attempt not in refuse
+    assert dual.seen == want
     assert rng.bits(64) == ref.bits(64)
 
 
