@@ -169,6 +169,31 @@ def test_invert_rejects_bad_input():
         invert(rng, bad)  # not isotropic
 
 
+@pytest.mark.parametrize("layout", [_IntDual, _PackedDual])
+@pytest.mark.parametrize("n", [3, 72])
+def test_invert_error_messages(monkeypatch, layout, n):
+    # each broken column is checked as it is inserted, after the valid
+    # columns before it; a zero column lies in every dual, so only the
+    # rank check can refuse it
+    monkeypatch.setattr(supke, "incremental_dual", layout)
+    valid = list(sample_isotropic(Rng(17), n, n).transpose().rows)
+    zero, dependent, pairing, pairing_off_dual = (list(valid) for _ in range(4))
+    zero[n // 2] = 0
+    dependent[2] = valid[0] ^ valid[1]
+    # e_0 against f_0, alone or with a dual vector beside it outside the span
+    pairing[0], pairing[1] = 1, 1 << n
+    pairing_off_dual[0], pairing_off_dual[1] = 1, (1 << n) | 2
+    for cols, message in (
+        (zero, "not full rank"),
+        (dependent, "not full rank"),
+        (pairing, "not isotropic"),
+        (pairing_off_dual, "not isotropic"),
+    ):
+        a = BitMat.from_cols([BitVec(2 * n, c) for c in cols], nrows=2 * n)
+        with pytest.raises(ValueError, match=message):
+            invert(Rng(18), a)
+
+
 def test_invert_accepts_exactly_the_full_rank_isotropic_matrices():
     # random 2n x n matrices are almost never isotropic, so half the trials
     # start from a valid one and break it: a zero column, a column that is the
