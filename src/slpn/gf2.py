@@ -21,14 +21,14 @@ set the slots through their member descriptors and skip ``__init__``, the
 mask and the checks, and ``BitMat._trusted_cols`` lays int columns out as
 rows that way and transposes them. They are only for results whose bits fit
 by construction: ``__xor__``, ``flip_bits``, ``matvec``, ``matmul``, the
-transpose, ``from_cols``, ``row_vecs``, ``from_json`` and ``from_hex`` after
-the trailing-bits check, the ``Rng`` draws, the kernel, column-space and
-symplectic-dual bases, the three parts of the symplectic split, the columns
-of the isotropic and LSN samplers, of the hyperplane rotation, of the seed
-expansion, of the drop-bit transform's hyperplane basis and of the dual-mode
-transform. Callers that want the columns as
-ints read ``transpose().rows`` rather than one BitVec per column from
-``cols()``. At n=4 these objects are much of a call's cost: on a 2-core x86
+transpose, ``take_cols``, ``from_cols``, ``row_vecs``, ``from_numpy`` after
+its ``& 1``, ``from_json`` and ``from_hex`` after the trailing-bits check,
+the ``Rng`` draws, the kernel, column-space and symplectic-dual bases, the
+three parts of the symplectic split, the columns of the isotropic and LSN
+samplers, of the hyperplane rotation, of the seed expansion, of the
+drop-bit transform's hyperplane basis and of the dual-mode transform.
+Callers that want the columns as ints read ``transpose().rows`` rather than
+one BitVec per column from ``cols()``. At n=4 these objects are much of a call's cost: on a 2-core x86
 host (Python 3.11, numpy 2.4) a public ``BitVec`` took 0.8-0.9 us and a
 trusted one 0.4 us, and a drop-bit trial that built 38 BitVecs and 12 BitMats
 through ``__init__`` now builds 5 and 1.4 (``perfbench/run.py --trace 1``,
@@ -55,8 +55,8 @@ order, so they consume randomness identically and return identical vectors.
 The cutoff was measured on a 2-core x86 host (Python 3.11, numpy 2.4),
 packed time over int time, median of 10 alternating rounds of best-of-5: at
 n=64 ``sample_isotropic`` 0.61, ``sample_lsn_matrices`` 0.85, ``invert``
-1.01 and ``expand`` 1.03; at n=56 0.76, 0.83, 1.10 and 1.17; at n=48 0.81,
-0.95, 1.18 and 1.32. So 2n = 128 is the smallest size at which no caller
+1.00 and ``expand`` 1.03; at n=56 0.76, 0.83, 1.10 and 1.17; at n=48 0.81,
+0.95, 1.24 and 1.32. So 2n = 128 is the smallest size at which no caller
 loses more than a few percent. At n=16 the fixed numpy cost per call makes
 the packed ``sample_isotropic`` 2.2 times slower, which is why the int
 layout stays for the small sizes the reductions and the exact-law checks
@@ -342,14 +342,20 @@ class BitMat:
         laid out as rows through ``_trusted``, then transposed."""
         return BitMat._trusted(len(cols), nrows, tuple(cols)).transpose()
 
+    @staticmethod
+    def _trusted_bits(bits: np.ndarray) -> "BitMat":
+        """The matrix with the rows of a 2-d 0/1 array (contiguous: packbits
+        runs slower on a transposed view)."""
+        packed = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
+        rows = tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+        return BitMat._trusted(bits.shape[0], bits.shape[1], rows)
+
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "BitMat":
         arr = np.asarray(arr, dtype=np.uint8) & 1
         if arr.ndim != 2:
             raise ValueError("expected 2-d array")
-        packed = np.packbits(arr, axis=1, bitorder="little")
-        rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(arr.shape[0])]
-        return cls(arr.shape[0], arr.shape[1], rows)
+        return cls._trusted_bits(arr)
 
     # -- access -------------------------------------------------------
     def col(self, j: int) -> BitVec:
@@ -421,14 +427,12 @@ class BitMat:
         rows = [a | (b << sh) for a, b in zip(self.rows, other.rows)]
         return BitMat(self.nrows, self.ncols + other.ncols, rows)
 
-    def take_cols(self, indices: Sequence[int]) -> "BitMat":
-        rows = []
-        for r in self.rows:
-            v = 0
-            for pos, j in enumerate(indices):
-                v |= ((r >> j) & 1) << pos
-            rows.append(v)
-        return BitMat(self.nrows, len(indices), rows)
+    def take_cols(self, lo: int, hi: int) -> "BitMat":
+        """Columns lo to hi - 1, in order."""
+        if not 0 <= lo <= hi <= self.ncols:
+            raise ValueError(f"column range {lo}:{hi} is outside 0:{self.ncols}")
+        m = _mask(hi - lo)
+        return BitMat._trusted(self.nrows, hi - lo, tuple((r >> lo) & m for r in self.rows))
 
     # -- serialization ------------------------------------------------
     def to_hex(self) -> str:
@@ -497,8 +501,6 @@ _WALK_MAX_ENTRIES = 200
 
 
 def _transpose_bitmat(m: BitMat) -> BitMat:
-    if m.nrows == 0 or m.ncols == 0:
-        return BitMat._trusted(m.ncols, m.nrows, (0,) * m.ncols)
     if m.nrows * m.ncols <= _WALK_MAX_ENTRIES:
         out = [0] * m.ncols
         for i, row in enumerate(m.rows):
@@ -507,7 +509,7 @@ def _transpose_bitmat(m: BitMat) -> BitMat:
                 out[j] |= 1 << i
                 row &= row - 1
         return BitMat._trusted(m.ncols, m.nrows, tuple(out))
-    return BitMat.from_numpy(m.to_numpy().T)
+    return BitMat._trusted_bits(m.to_numpy().T)
 
 
 def _as_symp_bits(x: BitVec) -> tuple[int, int]:

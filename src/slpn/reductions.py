@@ -315,7 +315,7 @@ def lpn_drop_bits(instance: Instance, k_prime: int, oracle: Oracle) -> Decision:
         raise ValueError("expected an LPN instance")
     if not 0 < k_prime < instance.k:
         raise ValueError("k_prime out of range")
-    trunc = instance.matrix.take_cols(range(instance.k - k_prime))
+    trunc = instance.matrix.take_cols(0, instance.k - k_prime)
     sub = Instance(
         InstanceKind.LPN,
         trunc,

@@ -144,6 +144,8 @@ def sample_isotropic(rng: Rng, n: int, k: int) -> BitMat:
     the dual of the dual, so a vector lies in it exactly when it pairs to 0
     with every dual vector, and ``extend`` then refuses it.
     """
+    if n < 0 or k < 0:
+        raise ValueError(f"{'n' if n < 0 else 'k'} is negative")
     if k > n:
         raise ValueError("an isotropic subspace of Z_2^{2n} has dimension at most n")
     dual = incremental_dual(n)
@@ -192,8 +194,7 @@ def _isotropic_packed(rng: Rng, dual: _PackedDual, k: int) -> BitMat:
             j += 1
         end -= run
     # row j holds column j's bit p at p ^ 7
-    packed = np.packbits(rows[:, np.arange(m) ^ 7].T, axis=1, bitorder="little")
-    return BitMat._trusted(m, k, tuple(int.from_bytes(r.tobytes(), "little") for r in packed))
+    return BitMat._trusted_bits(rows[:, np.arange(m) ^ 7].T)
 
 
 def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:
@@ -205,6 +206,8 @@ def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:
     of everything sampled so far, so its first column is equally likely to be
     any vector outside im(a).
     """
+    if n < 0 or k < 0:
+        raise ValueError(f"{'n' if n < 0 else 'k'} is negative")
     if k > n:
         raise ValueError("joint rank n + k cannot exceed 2n")
     a = sample_isotropic(rng, n, n)
@@ -278,12 +281,12 @@ class Instance:
     def lsn_a_part(self) -> BitMat:
         if self.kind is not InstanceKind.LSN:
             raise ValueError("not an LSN instance")
-        return self.matrix.take_cols(range(self.n))
+        return self.matrix.take_cols(0, self.n)
 
     def lsn_b_part(self) -> BitMat:
         if self.kind is not InstanceKind.LSN:
             raise ValueError("not an LSN instance")
-        return self.matrix.take_cols(range(self.n, self.n + self.k))
+        return self.matrix.take_cols(self.n, self.n + self.k)
 
     def without_witness(self) -> "Instance":
         return Instance(self.kind, self.matrix, self.word, self.k, self.n, self.p)
@@ -327,7 +330,7 @@ class Instance:
         if kind is InstanceKind.SYMPLPN:
             check_isotropic(matrix)
         if kind is InstanceKind.LSN:
-            check_lsn_pair(matrix.take_cols(range(n)), matrix.take_cols(range(n, n + k)), n, k)
+            check_lsn_pair(matrix.take_cols(0, n), matrix.take_cols(n, n + k), n, k)
         witness = None
         if "witness" in obj:
             w = obj["witness"]

@@ -1,11 +1,11 @@
 """Strongly uniform keys: deterministic seed expansion and its randomized inverse.
 
 ``expand`` turns a uniform 4n^2-bit seed into a uniform full-rank isotropic
-2n x n matrix by growing columns inside canonically ordered dual bases;
-``invert`` maps a matrix back to a seed whose marginal is uniform, with
-``expand(invert(a)) == a`` except with negligible probability. The public-key
-wrapper stores the seed in place of the matrix, making the key a plain
-bitstring.
+2n x n matrix by growing columns inside canonically ordered dual bases up to
+the n-th; ``invert`` walks the same steps back to a marginally uniform seed,
+with ``expand(invert(a)) == a`` except with negligible probability, and pads
+the tail ``expand`` never reads with fresh bits. The public-key wrapper
+stores the seed in place of the matrix, making the key a plain bitstring.
 """
 from __future__ import annotations
 
@@ -45,8 +45,7 @@ class Seed:
     bits: BitVec
 
     def __post_init__(self):
-        n = math.isqrt(self.bits.nbits // 4)
-        if 4 * n * n != self.bits.nbits or n == 0:
+        if 4 * self.n**2 != self.bits.nbits or self.n == 0:
             raise ValueError("seed length must be 4n^2")
 
     @property
@@ -98,49 +97,45 @@ def invert(rng: Rng, a: BitMat) -> Seed:
 
     Mirrors expansion step by step: with probability 1 - 2^(2n-d)/2^d insert
     the next column of a, otherwise a random vector already in the span of
-    the inserted columns; then read the combination coefficients off the
-    ordered dual basis and pad the reconstructed prefix with fresh bits.
+    the inserted columns, and write its dual-basis coefficients into the
+    seed. Like ``expand``, stop at the n-th column: the dual is then the span,
+    whose uniform vectors have uniform coefficients, so fresh bits pad the rest.
 
     Raises ValueError unless a is full rank and isotropic. Column r is checked
     as it is inserted: it must lie in the dual of the columns before it, and
     outside their span. Every column is inserted before the seed is returned.
     """
-    if a.nrows % 2 or a.ncols * 2 != a.nrows:
-        raise ValueError("expected a 2n x n matrix")
     n = a.ncols
+    if not n or 2 * n != a.nrows:
+        raise ValueError("expected a 2n x n matrix with n >= 1")
     a_cols = a.transpose().rows
     while True:
-        prefix: list[tuple[int, int]] = []  # (coeffs, width) per step
         real: list[int] = []
         dual = incremental_dual(n)
+        value = pos = 0
         for _ in range(2 * n):
             r = len(real)
-            took_real = r < n and rng.random() >= 4.0 ** (r - n)
-            if took_real:
+            d = dual.dim
+            if rng.random() >= 4.0 ** (r - n):
                 w = a_cols[r]
-            else:
-                w = xor_rows(real, rng.bits(r).value) if r else 0
-            coeffs = dual.coefficients(w)
-            prefix.append((coeffs, dual.dim))
-            # only a column of a needs the check: the span of real lies in
-            # its own dual, because every column of real passed it
-            if took_real:
-                if dual.combine(coeffs) != w:
-                    raise ValueError("matrix is not isotropic")
-                if not dual.restrict(w):
+                coeffs = dual.coefficients(w)
+                # only a column of a needs the check: the span of real lies in
+                # its own dual, because every column of real passed it
+                got = dual.extend(coeffs)
+                if not w or got != w:
+                    # a nonzero got means w is off the dual; 0 left the dual as it was
+                    if got or dual.combine(coeffs) != w:
+                        raise ValueError("matrix is not isotropic")
                     raise ValueError("matrix is not full rank")
                 real.append(w)
-        if len(real) == n:
-            break
+            else:
+                coeffs = dual.coefficients(xor_rows(real, rng.bits(r).value) if r else 0)
+            value |= coeffs << pos
+            pos += d
+            if len(real) == n:
+                padding = rng.bits(4 * n * n - pos)
+                return Seed(BitVec(4 * n * n, value | padding.value << pos))
         diagnostics.bump("supke.invert_retry")
-    value = 0
-    pos = 0
-    for coeffs, width in prefix:
-        value |= coeffs << pos
-        pos += width
-    padding = rng.bits(4 * n * n - pos)
-    value |= padding.value << pos
-    return Seed(BitVec(4 * n * n, value))
 
 
 @dataclass(frozen=True)
@@ -196,19 +191,17 @@ def su_gen_traced(rng: Rng, n: int, p: float) -> tuple[SuPublicKey, SecretKey, B
     return SuPublicKey(n, p, seed, b), SecretKey(n, x), e
 
 
-def su_enc(rng: Rng, pk: SuPublicKey, mu: int, p: float | None = None) -> Ciphertext:
-    ct, _ = su_enc_traced(rng, pk, mu, p)
+def su_enc(rng: Rng, pk: SuPublicKey, mu: int) -> Ciphertext:
+    ct, _ = su_enc_traced(rng, pk, mu)
     return ct
 
 
-def su_enc_traced(
-    rng: Rng, pk: SuPublicKey, mu: int, p: float | None = None
-) -> tuple[Ciphertext, BitVec]:
+def su_enc_traced(rng: Rng, pk: SuPublicKey, mu: int) -> tuple[Ciphertext, BitVec]:
     """Encrypt exactly as with the plain public key the seed expands to.
 
     The seed is expanded on a key's first encryption only.
     """
-    return _pke_enc_traced(rng, pk._plain_key, mu, p)
+    return _pke_enc_traced(rng, pk._plain_key, mu)
 
 
 def su_dec(sk: SecretKey, ct: Ciphertext) -> int:

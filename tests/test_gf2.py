@@ -114,6 +114,8 @@ def test_trusted_sites_match_the_public_constructor(data):
     m, o = _draw_bitmat(data, r, c), _draw_bitmat(data, c, c2)
     x, y = (BitVec(c, data.draw(st.integers(0, (1 << c) - 1))) for _ in range(2))
     flips = data.draw(st.lists(st.integers(0, c - 1), max_size=8)) if c else []
+    lo = data.draw(st.integers(0, c))
+    hi = data.draw(st.integers(lo, c))
     flipped = x.value
     for i in flips:
         flipped ^= 1 << i
@@ -130,9 +132,11 @@ def test_trusted_sites_match_the_public_constructor(data):
         (m.matvec(x), BitVec(r, image)),
         (m.matmul(o), BitMat(r, c2, product)),
         (m.transpose(), BitMat(c, r, col)),
+        (m.take_cols(lo, hi), BitMat(r, hi - lo, [row >> lo for row in m.rows])),
         (BitMat.from_cols(m.row_vecs(), nrows=c), BitMat(c, r, col)),
         (BitMat._trusted_cols(c, list(m.rows)), BitMat(c, r, col)),
         (BitMat.from_json(m.to_json()), BitMat(r, c, list(m.rows))),
+        (BitMat.from_numpy(m.to_numpy()), BitMat(r, c, list(m.rows))),
         (BitVec.from_json(x.to_json()), BitVec(c, x.value)),
         *zip(m.row_vecs(), [BitVec(c, row) for row in m.rows]),
         *zip(m.cols(), [BitVec(r, v) for v in col]),
@@ -141,6 +145,15 @@ def test_trusted_sites_match_the_public_constructor(data):
         assert got == want and hash(got) == hash(want)
         if isinstance(got, BitMat):
             assert type(got.rows) is tuple
+
+
+def test_take_cols_refuses_a_range_outside_the_matrix():
+    m = BitMat(2, 3, [0b101, 0b011])
+    assert m.take_cols(1, 3) == BitMat(2, 2, [0b10, 0b01])
+    assert m.take_cols(3, 3) == BitMat.zeros(2, 0)
+    for lo, hi in ((-1, 2), (2, 1), (0, 4)):
+        with pytest.raises(ValueError):
+            m.take_cols(lo, hi)
 
 
 def test_algebra_bases_match_the_public_constructor():

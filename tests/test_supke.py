@@ -12,6 +12,7 @@ from slpn.gf2 import (
     is_isotropic,
     rank,
     symp_inner,
+    xor_rows,
 )
 from slpn.pke import PublicKey, enc_traced, pick_p_for_success, predict_success
 from slpn.sampling import Rng, sample_isotropic
@@ -157,13 +158,68 @@ def test_invert_roundtrip_rate_n8():
         assert expand(invert(rng, a)) == a
 
 
+def _reference_invert(rng: Rng, a: BitMat) -> tuple[Seed, int]:
+    """Reference for ``invert``: separate ``coefficients``, ``combine`` and
+    ``restrict`` calls per step on the int layout, the walk stopped at the
+    n-th column and the rest of the seed padded by one draw. Also returns
+    how many walks were retried."""
+    n = a.ncols
+    a_cols = a.transpose().rows
+    retries = 0
+    while True:
+        dual = _IntDual(n)
+        real, value, pos = [], 0, 0
+        for _ in range(2 * n):
+            r = len(real)
+            took_real = rng.random() >= 4.0 ** (r - n)
+            w = a_cols[r] if took_real else xor_rows(real, rng.bits(r).value) if r else 0
+            coeffs = dual.coefficients(w)
+            assert dual.combine(coeffs) == w
+            value |= coeffs << pos
+            pos += dual.dim
+            if took_real:
+                assert dual.restrict(w)
+                real.append(w)
+                if r + 1 == n:
+                    value |= rng.bits(4 * n * n - pos).value << pos
+                    return Seed(BitVec(4 * n * n, value)), retries
+        retries += 1
+
+
+@pytest.mark.parametrize(
+    "layout, n, seeds",
+    [
+        (_IntDual, 1, 200),
+        (_PackedDual, 1, 200),
+        (_IntDual, 2, 200),
+        (_PackedDual, 2, 200),
+        (incremental_dual, 72, 2),
+        (incremental_dual, 130, 2),
+    ],
+)
+def test_invert_matches_reference_walk(monkeypatch, layout, n, seeds):
+    # at n = 1 and 2 a walk misses its last column often enough that the
+    # retried walk is checked too; the basis is word-packed at 72 and 130
+    monkeypatch.setattr(supke, "incremental_dual", layout)
+    retries = 0
+    for seed in range(seeds):
+        a = sample_isotropic(Rng(seed), n, n)
+        want, retried = _reference_invert(ref := Rng(1000 + seed), a)
+        retries += retried
+        assert invert(rng := Rng(1000 + seed), a) == want
+        assert rng.bits(64) == ref.bits(64)
+    assert retries >= 1 or n > 2
+
+
 def test_invert_rejects_bad_input():
     rng = Rng(6)
     with pytest.raises(ValueError):
         invert(rng, BitMat.zeros(8, 4))  # not full rank
     m = sample_isotropic(rng, 4, 4)
     with pytest.raises(ValueError):
-        invert(rng, m.take_cols([0, 1]))  # wrong shape
+        invert(rng, m.take_cols(0, 2))  # wrong shape
+    with pytest.raises(ValueError):
+        invert(rng, BitMat.zeros(0, 0))  # n = 0: no seed of that length
     bad = BitMat.from_cols([BitVec.unit(4, 0), BitVec.unit(4, 2)])
     with pytest.raises(ValueError):
         invert(rng, bad)  # not isotropic
