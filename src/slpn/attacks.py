@@ -14,8 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .gf2 import BitMat, BitVec, EchelonSet, pack_rows, pair_weight_int, solve_full_rank_batch
-from .reductions import Decision, Oracle
-from .sampling import Instance, InstanceKind, Rng
+from .sampling import Decision, Instance, InstanceKind, Oracle, Rng
 
 __all__ = [
     "AttackResult",
@@ -44,8 +43,8 @@ class AttackResult:
     def to_json(self) -> dict:
         return {
             "success": self.success,
-            "secret": self.secret.to_json() if self.secret else None,
-            "error": self.error.to_json() if self.error else None,
+            "secret": None if self.secret is None else self.secret.to_json(),
+            "error": None if self.error is None else self.error.to_json(),
             "iterations": self.iterations,
             "wall_time": self.wall_time,
         }
@@ -63,6 +62,18 @@ def _expected_error_weight(instance: Instance) -> float:
     return instance.n * instance.p
 
 
+def _gray_walk(cols: list[int], start: int):
+    """(x, start ^ M @ x) for every x of len(cols) bits, where M has columns
+    ``cols``: x = 0 first, then Gray-code order, one column added per step."""
+    x = 0
+    yield x, start
+    for i in range(1, 1 << len(cols)):
+        j = (i & -i).bit_length() - 1
+        x ^= 1 << j
+        start ^= cols[j]
+        yield x, start
+
+
 def brute_force_search(instance: Instance) -> tuple[BitVec, BitVec]:
     """Minimum-weight consistent (secret, error), lowest secret on ties.
 
@@ -73,20 +84,12 @@ def brute_force_search(instance: Instance) -> tuple[BitVec, BitVec]:
     k = instance.matrix.ncols
     if k > BRUTE_FORCE_LIMIT:
         raise ValueError("secret space too large to enumerate")
-    cols = instance.matrix.transpose().rows
     nrows = instance.matrix.nrows
-    current = instance.word.value  # error for x = 0
-    best_w = _error_weight(instance.kind, current, nrows)
-    best_x = 0
-    best_e = current
-    gray = 0
-    for i in range(1, 1 << k):
-        j = (i & -i).bit_length() - 1
-        gray ^= 1 << j
-        current ^= cols[j]
-        w = _error_weight(instance.kind, current, nrows)
-        if w < best_w or (w == best_w and gray < best_x):
-            best_w, best_x, best_e = w, gray, current
+    best_w, best_x, best_e = nrows + 1, 0, 0  # any error weighs at most nrows
+    for x, e in _gray_walk(instance.matrix.transpose().rows, instance.word.value):
+        w = _error_weight(instance.kind, e, nrows)
+        if w < best_w or (w == best_w and x < best_x):
+            best_w, best_x, best_e = w, x, e
     return BitVec(k, best_x), BitVec(nrows, best_e)
 
 
@@ -247,20 +250,12 @@ def min_distance(code: BitMat, pair_metric: bool = False) -> int:
     if pair_metric and code.nrows % 2:
         raise ValueError("pair metric needs 2n rows")
     n = code.nrows // 2
-    cols = code.transpose().rows
-    best = code.nrows + 1
-    current = 0
-    gray = 0
-    for i in range(1, 1 << k):
-        j = (i & -i).bit_length() - 1
-        gray ^= 1 << j
-        current ^= cols[j]
-        if gray == 0 or current == 0:
-            continue
-        w = pair_weight_int(current, n) if pair_metric else current.bit_count()
-        if w < best:
-            best = w
-    return best
+    weights = (
+        pair_weight_int(c, n) if pair_metric else c.bit_count()
+        for _, c in _gray_walk(code.transpose().rows, 0)
+        if c
+    )
+    return min(weights, default=code.nrows + 1)
 
 
 def eta_weight(w: int, p: float) -> float:

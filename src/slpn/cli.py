@@ -9,12 +9,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
+from .attacks import (
+    AttackResult,
+    brute_force_search,
+    make_brute_oracle,
+    make_coin_oracle,
+    pair_aware_isd,
+    prange_isd,
+)
 from .gf2 import BitVec
 from .harness import ExperimentSpec, run_experiment
 from .owf import OwfIndex, OwfInput, owf_eval, owf_gen, owf_sample, owf_verify_preimage
 from .pke import Ciphertext, PublicKey, SecretKey, dec, enc, gen, parse_p
+from .plot import render_csv
 from .reductions import (
     Branch,
     interpolation_select,
@@ -90,8 +100,6 @@ def _cmd_owf(args) -> int:
 
 
 def _make_oracle(name: str, rng: Rng):
-    from .attacks import make_brute_oracle, make_coin_oracle
-
     if name == "brute":
         return make_brute_oracle()
     if name == "coin":
@@ -123,26 +131,20 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    from .attacks import brute_force_search, pair_aware_isd, prange_isd
-
     inst = Instance.from_json(_read_json(args.infile))
     rng = Rng(args.seed)
     if args.algorithm == "brute":
+        start = time.perf_counter()
         x, e = brute_force_search(inst)
-        result = {
-            "success": True,
-            "secret": x.to_json(),
-            "error": e.to_json(),
-            "iterations": 1 << inst.matrix.ncols,
-        }
+        result = AttackResult(True, x, e, 1 << inst.matrix.ncols, time.perf_counter() - start)
     else:
         attack = prange_isd if args.algorithm == "prange" else pair_aware_isd
-        result = attack(rng.split(0), inst, args.max_iters).to_json()
+        result = attack(rng.split(0), inst, args.max_iters)
     if args.json:
-        print(json.dumps(result, indent=2))
+        print(json.dumps(result.to_json(), indent=2))
     else:
-        print("success" if result["success"] else "failure")
-    return 0 if result["success"] else 1
+        print("success" if result.success else "failure")
+    return 0 if result.success else 1
 
 
 def _cmd_experiment(args) -> int:
@@ -153,8 +155,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from .plot import render_csv
-
     render_csv(args.csv, args.x, args.y.split(","), args.out, series=args.series)
     return 0
 

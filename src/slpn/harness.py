@@ -20,8 +20,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
+from .attacks import pair_aware_isd, prange_isd
 from .gf2 import read_fields
-from .sampling import Instance, Rng
+from .pke import dec, enc, gen, matched_noise, parse_p, predict_success
+from .plot import render_line_chart
+from .sampling import Decision, Instance, Oracle, Rng, gen_lpn, gen_symplpn
 
 __all__ = [
     "StatSummary",
@@ -121,7 +124,7 @@ def chi_square_stat(counts: Sequence[float], expected: Optional[Sequence[float]]
 
 def advantage(
     rng: Rng,
-    oracle: Callable[[Instance], object],
+    oracle: Oracle,
     gen_structured: Callable[[Rng], Instance],
     gen_unstructured: Callable[[Rng], Instance],
     trials: int,
@@ -130,8 +133,6 @@ def advantage(
     over ``trials`` fresh samples per arm, with a Wilson-style interval."""
     if trials < 100:
         raise ValueError("too few trials for a meaningful interval")
-    from .reductions import Decision
-
     say_s = sum(
         oracle(gen_structured(rng)) is Decision.STRUCTURED for _ in range(trials)
     )
@@ -263,13 +264,9 @@ class _DecryptionCurve(_Experiment):
     plot = ("p", ("predicted", "measured"), ())
 
     def parse_point(self, n: int, p) -> tuple[int, float]:
-        from .pke import parse_p
-
         return _positive(n, "n"), parse_p(p, n)
 
     def run_point(self, spec: ExperimentSpec, point: tuple[int, float], rng: Rng) -> list[dict]:
-        from .pke import dec, enc, gen, predict_success
-
         n, p = point
         encs_per_key = int(spec.options.get("encs_per_key", 1))
         hits = 0
@@ -297,15 +294,10 @@ class _MatchedIsd(_Experiment):
     plot = ("q", ("median_iterations",), ("problem", "algorithm"))
 
     def parse_point(self, n: int, q: float) -> tuple[int, float, float]:
-        from .pke import matched_noise
-
         q = float(q)
         return _positive(n, "n"), q, matched_noise(q)
 
     def run_point(self, spec: ExperimentSpec, point: tuple, rng: Rng) -> list[dict]:
-        from .attacks import pair_aware_isd, prange_isd
-        from .sampling import gen_lpn, gen_symplpn
-
         n, q, p = point
         max_iters = int(spec.options.get("max_iters", 100_000))
         results: dict[tuple[str, str], list] = {}
@@ -341,8 +333,6 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[dict], bool]:
     rows, ok = _run_grid(spec, experiment)
     svg = spec.options.get("svg")
     if svg:
-        from .plot import render_line_chart
-
         x, ys, series = experiment.plot
         tagged = [dict(r, series="/".join(str(r[c]) for c in series)) for r in rows]
         out = svg if isinstance(svg, str) else spec.out + ".svg"

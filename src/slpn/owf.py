@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .gf2 import BitMat, BitVec, pair_weight_int, read_fields
-from .sampling import Rng, check_lsn_pair, sample_depolarizing, sample_lsn_matrices
+from .sampling import Rng, check_lsn_pair, check_rate, sample_depolarizing, sample_lsn_matrices
 
 __all__ = [
     "OwfIndex",
@@ -50,7 +50,7 @@ class OwfIndex:
         n, k, p, a, b = read_fields(obj, "owf index", n=int, k=int, p=float, a=dict, b=dict)
         a, b = BitMat.from_json(a), BitMat.from_json(b)
         check_lsn_pair(a, b, n, k)
-        return cls(n, k, float(p), a, b)
+        return cls(n, k, check_rate(float(p)), a, b)
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ def weight_cap(index: OwfIndex) -> int:
 
 def owf_gen(rng: Rng, k: int, n: int, p: float) -> OwfIndex:
     """Sample an index: the same matrix pair the instance generator uses."""
+    check_rate(p)
     if k > n:
         raise ValueError("joint rank n + k cannot exceed 2n")
     a, b = sample_lsn_matrices(rng, k, n)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .gf2 import BitMat, BitVec, check_isotropic, read_fields, symp_inner, symp_vec_mat
-from .sampling import Rng, sample_depolarizing, sample_isotropic
+from .sampling import Rng, check_rate, sample_depolarizing, sample_isotropic
 
 __all__ = [
     "PublicKey",
@@ -48,7 +48,7 @@ class PublicKey:
         b = BitVec.from_json(b)
         if (a.nrows, a.ncols, b.nbits) != (2 * n, n, 2 * n):
             raise ValueError("inconsistent public key")
-        return cls(n, float(p), check_isotropic(a), b)
+        return cls(n, check_p(float(p)), check_isotropic(a), b)
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,7 @@ def decrypt_bits(sk: SecretKey, cts: list[Ciphertext]) -> BitVec:
 
 def predict_success(n: int, p: float) -> float:
     """Exact decryption-success probability 1/2 + 1/2 (1 - 4/3 p^2)^n."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p out of range")
+    check_rate(p)
     return 0.5 + 0.5 * (1.0 - (4.0 / 3.0) * p * p) ** n
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import diagnostics
 from .gf2 import (
@@ -26,10 +26,13 @@ from .gf2 import (
 )
 from .harness import advantage_interval, wilson_interval
 from .sampling import (
+    Decision,
     HyperplaneRotation,
     Instance,
     InstanceKind,
+    Oracle,
     Rng,
+    draw_dual_outside,
     gen_lsn,
     gen_symplpn,
 )
@@ -54,17 +57,9 @@ __all__ = [
 ]
 
 
-class Decision(enum.Enum):
-    STRUCTURED = "structured"
-    UNSTRUCTURED = "unstructured"
-
-
 class Branch(enum.Enum):
     PLAIN = "plain"
     FLOODED = "flooded"
-
-
-Oracle = Callable[[Instance], Decision]
 
 
 class HyperplaneDimensionError(RuntimeError):
@@ -291,21 +286,13 @@ def dual_mode_transform(rng: Rng, instance: Instance) -> tuple[BitMat, BitVec]:
     for c in a_cols:
         dual.restrict(c)  # to dimension n + 1
         span.add(c)
-    u = _draw_dual_outside(rng, dual, span)
+    u = draw_dual_outside(rng, dual, span)
     b = BitMat._trusted_cols(2 * n, [*a_cols, u]).matmul(_random_invertible(rng, n))
     # im(b) = span(a, u), which span already holds
-    v = _draw_dual_outside(rng, dual, span)
+    v = draw_dual_outside(rng, dual, span)
     h = BitMat._trusted_cols(2 * n, [*b.transpose().rows, v])
     w = symp_vec_mat(instance.word, h)
     return h, w
-
-
-def _draw_dual_outside(rng: Rng, dual, span: EchelonSet) -> int:
-    """A uniform vector of the dual outside the span, which takes it."""
-    while True:
-        v = dual.combine(rng.bits(dual.dim).value)
-        if span.add(v):
-            return v
 
 
 def lpn_drop_bits(instance: Instance, k_prime: int, oracle: Oracle) -> Decision:
@@ -334,6 +321,8 @@ def measure_lsn_reduction(
 
     ``advantage`` is the success rate minus the 1/2^k guessing baseline.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     successes = 0
     for _ in range(trials):
         inst = gen_lsn(rng, k, n, p, keep_witness=True)
@@ -362,7 +351,10 @@ def measure_drop_bit(
     trials: int,
     m: Optional[int] = None,
 ) -> ReductionReport:
-    """Distinguishing advantage of the one-bit-drop pipeline with a given oracle."""
+    """Distinguishing advantage of the one-bit-drop pipeline with a given oracle.
+    Trials alternate structured and unstructured inputs, so each arm needs one."""
+    if trials < 2:
+        raise ValueError(f"trials must be at least 2, got {trials}")
     counts = {True: [0, 0], False: [0, 0]}  # structured? -> [trials, said-structured]
     for i in range(trials):
         structured = i % 2 == 0

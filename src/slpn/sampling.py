@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,9 +31,13 @@ __all__ = [
     "InstanceKind",
     "Witness",
     "Instance",
+    "Decision",
+    "Oracle",
+    "check_rate",
     "sample_depolarizing",
     "sample_bernoulli",
     "sample_isotropic",
+    "draw_dual_outside",
     "sample_lsn_matrices",
     "check_lsn_pair",
     "gen_symplpn",
@@ -114,11 +118,17 @@ class Rng:
         return self._gen
 
 
+def check_rate(p: float) -> float:
+    """p itself when the noise samplers can use it, 0 <= p <= 1; ValueError otherwise."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p out of range")
+    return p
+
+
 def sample_depolarizing(rng: Rng, n: int, p: float) -> BitVec:
     """Per-pair noise on a 2n-bit vector, pair j at bits (j, n + j): (0,0) w.p.
     1-p, each of the other three patterns w.p. p/3."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p out of range")
+    check_rate(p)
     gen = rng.numpy()
     noisy = gen.random(n) < p
     patterns = gen.integers(1, 4, size=n)
@@ -130,8 +140,7 @@ def sample_depolarizing(rng: Rng, n: int, p: float) -> BitVec:
 
 def sample_bernoulli(rng: Rng, n: int, p: float) -> BitVec:
     """Each bit independently 1 with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p out of range")
+    check_rate(p)
     gen = rng.numpy()
     return BitVec.from_numpy((gen.random(n) < p).astype(np.uint8))
 
@@ -197,6 +206,23 @@ def _isotropic_packed(rng: Rng, dual: _PackedDual, k: int) -> BitMat:
     return BitMat._trusted_bits(rows[:, np.arange(m) ^ 7].T)
 
 
+def draw_dual_outside(rng: Rng, dual, span: EchelonSet) -> int:
+    """A uniform vector of the dual outside the span, which takes it.
+
+    Each draw is kept with probability at least 1/2, since no caller's dual
+    lies inside its span. The dual-mode transform keeps a draw with
+    probability 3/4, then 1/2. The LSN sampler draws from dual(b) outside
+    span(a, b), with a Lagrangian (dual(a) = span(a)) and j < k <= n columns
+    of b so far: were dual(b) inside span(a, b), span(a) & dual(b) =
+    dual(span(a, b)) would lie inside span(b), but it has dimension at least
+    n - j >= 1 and meets span(b) only in 0.
+    """
+    while True:
+        v = dual.combine(rng.bits(dual.dim).value)
+        if span.add(v):
+            return v
+
+
 def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:
     """The stabilizer-style matrix pair: isotropic a (2n x n), isotropic b (2n x k),
     with [a | b] jointly full rank.
@@ -216,16 +242,9 @@ def sample_lsn_matrices(rng: Rng, k: int, n: int) -> tuple[BitMat, BitMat]:
         joint.add(col)
     b_dual = incremental_dual(n)
     b_cols: list[int] = []
-    attempts = 0
-    while len(b_cols) < k:
-        v = b_dual.combine(rng.bits(b_dual.dim).value)
-        if not joint.add(v):
-            attempts += 1
-            if attempts > 64 * (n + k):
-                raise RuntimeError("rejection sampling stalled; invalid parameters")
-            continue
-        b_cols.append(v)
-        b_dual.restrict(v)
+    for _ in range(k):
+        b_cols.append(draw_dual_outside(rng, b_dual, joint))
+        b_dual.restrict(b_cols[-1])
     return a, BitMat._trusted_cols(2 * n, b_cols)
 
 
@@ -344,7 +363,15 @@ class Instance:
                             f"witness {key} has {parts[key].nbits} bits, expected {width}"
                         )
             witness = Witness(structured, **parts)
-        return cls(kind, matrix, word, k, n, float(p), witness)
+        return cls(kind, matrix, word, k, n, check_rate(float(p)), witness)
+
+
+class Decision(enum.Enum):
+    STRUCTURED = "structured"
+    UNSTRUCTURED = "unstructured"
+
+
+Oracle = Callable[[Instance], Decision]
 
 
 def gen_symplpn(
@@ -352,6 +379,7 @@ def gen_symplpn(
 ) -> Instance:
     """Structured: word = a @ x + e with x uniform and e depolarizing(p).
     Unstructured: word uniform."""
+    check_rate(p)
     a = sample_isotropic(rng, n, k)
     if structured:
         x = rng.bits(k)
@@ -377,6 +405,7 @@ def gen_lsn(
     force_y is a test hook: with y = 0 the pair (a-part, word) is exactly a
     structured 2n-row instance over the isotropic code a.
     """
+    check_rate(p)
     a, b = sample_lsn_matrices(rng, k, n)
     r = rng.bits(n)
     y = rng.bits(k) if force_y is None else force_y
@@ -392,6 +421,7 @@ def gen_lpn(
     rng: Rng, k: int, n: int, p: float, structured: bool, keep_witness: bool = False
 ) -> Instance:
     """Plain parity-with-noise sample: uniform n x k matrix, Bernoulli(p) errors."""
+    check_rate(p)
     a = rng.bitmat(n, k)
     if structured:
         x = rng.bits(k)

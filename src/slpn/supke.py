@@ -173,7 +173,7 @@ class SuPublicKey:
         b = BitVec.from_json(b)
         if b.nbits != 2 * n:
             raise ValueError("inconsistent public key")
-        return cls(n, float(p), seed, b)
+        return cls(n, check_p(float(p)), seed, b)
 
 
 def su_gen(rng: Rng, n: int, p: float) -> tuple[SuPublicKey, SecretKey]:

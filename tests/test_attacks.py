@@ -7,6 +7,7 @@ import pytest
 
 from naive_gf2 import naive_matvec, naive_rank
 from slpn.attacks import (
+    AttackResult,
     brute_force_decide,
     brute_force_search,
     eta_weight,
@@ -85,6 +86,13 @@ def test_brute_force_matches_enumeration_on_lpn():
         x, e = brute_force_search(inst)
         w_naive, x_naive, e_naive = naive_min_error(inst)
         assert x.value == x_naive and e.weight() == w_naive
+
+
+def test_attack_result_json_keeps_empty_vectors():
+    # a 0-bit secret is a found secret, not a missing one
+    out = AttackResult(True, BitVec(0), BitVec(4), 1, 0.0).to_json()
+    assert out["secret"] == BitVec(0).to_json() and out["error"] == BitVec(4).to_json()
+    assert AttackResult(False, None, None, 5, 0.0).to_json()["secret"] is None
 
 
 def test_brute_force_limit():

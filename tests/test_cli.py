@@ -54,8 +54,14 @@ def test_keygen_auto_p(tmp_path):
         (["decrypt", "--sk", "f.json", "--ct", "f.json"],
          "slpn decrypt: secret key must be a JSON object, got list"),
         (["keygen", "--n", "8", "--p", "2.0"], "slpn keygen: p = '2.0': p out of range"),
+        (["owf", "gen", "--p", "7"], "slpn owf: p out of range"),
+        (["reduce", "lsn-to-symplpn", "--n", "4", "--k", "0", "--p", "0.1"],
+         "slpn reduce: k must be at least 1, got 0"),
+        (["reduce", "drop-bit", "--n", "4", "--p", "0.05", "--trials", "1"],
+         "slpn reduce: trials must be at least 2, got 1"),
     ],
-    ids=["decrypt-list-file", "keygen-p-2"],
+    ids=["decrypt-list-file", "keygen-p-2", "owf-gen-p-7", "reduce-lsn-k-0",
+         "reduce-drop-bit-trials-1"],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -64,7 +70,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == message
-    assert not (tmp_path / "pk.json").exists()
+    assert [f.name for f in tmp_path.iterdir()] == ["f.json"]
 
 
 def test_su_roundtrip(tmp_path, capsys):
@@ -126,16 +132,18 @@ def test_attack_cli(tmp_path, capsys):
     inst_file = tmp_path / "inst.json"
     run(["sample", "--kind", "symplpn", "--n", "12", "--k", "12", "--p", "0.05",
          "--structured", "--seed", "10", "--out", str(inst_file)])
-    rc = run(["attack", "prange", "--in", str(inst_file), "--max-iters", "20000",
-              "--seed", "11", "--json"])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["success"] is True
-    rc = run(["attack", "pair-isd", "--in", str(inst_file), "--max-iters", "20000",
-              "--seed", "12", "--json"])
-    assert rc == 0
-    rc = run(["attack", "brute", "--in", str(inst_file), "--seed", "13", "--json"])
-    assert rc == 0
+    capsys.readouterr()
+    keys = {}
+    for algorithm, seed in (("prange", "11"), ("pair-isd", "12"), ("brute", "13")):
+        rc = run(["attack", algorithm, "--in", str(inst_file), "--max-iters", "20000",
+                  "--seed", seed, "--json"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["success"] is True
+        keys[algorithm] = sorted(out)
+    # every attack prints one result shape
+    assert keys["brute"] == keys["prange"] == keys["pair-isd"]
+    assert "wall_time" in keys["brute"]
 
 
 # Pinned at the commit before `attack` lost its worker fan-out; wall_time is

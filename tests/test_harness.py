@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from slpn.attacks import make_brute_oracle, make_coin_oracle, witness_oracle
+from slpn.attacks import AttackResult, make_brute_oracle, make_coin_oracle, witness_oracle
 from slpn.harness import (
     ExperimentSpec,
     StatSummary,
@@ -322,17 +322,17 @@ def test_run_experiment_dispatch_and_assertions(tmp_path):
 
 
 def test_pair_at_most_plain_checks_every_point(tmp_path, monkeypatch):
-    import slpn.attacks as attacks
+    import slpn.harness as harness
 
     def fake_attack(iterations_by_k):
         def attack(rng, inst, max_iters):
-            return attacks.AttackResult(True, None, None, iterations_by_k[inst.matrix.ncols], 0.0)
+            return AttackResult(True, None, None, iterations_by_k[inst.matrix.ncols], 0.0)
 
         return attack
 
     # pair-aware needs more iterations than prange at the first point only
-    monkeypatch.setattr(attacks, "prange_isd", fake_attack({8: 4, 9: 4}))
-    monkeypatch.setattr(attacks, "pair_aware_isd", fake_attack({8: 9, 9: 1}))
+    monkeypatch.setattr(harness, "prange_isd", fake_attack({8: 4, 9: 4}))
+    monkeypatch.setattr(harness, "pair_aware_isd", fake_attack({8: 9, 9: 1}))
     spec = ExperimentSpec(
         name="matched_isd",
         grid=({"n": 8, "q": 0.01}, {"n": 9, "q": 0.01}),

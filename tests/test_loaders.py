@@ -288,3 +288,47 @@ def test_code_loaders_refuse_bad_codes():
         for load, payload in ((OwfIndex.from_json, index), (Instance.from_json, lsn)):
             with pytest.raises(ValueError, match=message):
                 load(payload)
+
+
+# Keys take the rates key generation takes, 0 < p < 1; OWF indices and
+# instances those their noise samplers take, 0 <= p <= 1.
+RATE_BOUNDS = {
+    PublicKey: ([-1, 0, 1, 2], [0.1]),
+    SuPublicKey: ([-1, 0, 1, 2], [0.1]),
+    OwfIndex: ([-1, -0.1, 1.5, 2], [0, 1]),
+    Instance: ([-1, -0.1, 1.5, 2], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(RATE_BOUNDS, key=lambda c: c.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_loaders_refuse_an_out_of_range_p(cls):
+    payload = _payload(cls)
+    refused, loaded = RATE_BOUNDS[cls]
+    for p in refused:
+        with pytest.raises(ValueError, match="p out of range"):
+            cls.from_json(dict(payload, p=p))
+    for p in loaded:
+        assert cls.from_json(dict(payload, p=p)).p == p
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng, p: gen_lpn(rng, 3, 9, p, structured=False),
+        lambda rng, p: gen_lpn(rng, 3, 9, p, structured=True),
+        lambda rng, p: gen_symplpn(rng, 3, 4, p, structured=False),
+        lambda rng, p: gen_symplpn(rng, 3, 4, p, structured=True),
+        lambda rng, p: gen_lsn(rng, 1, 4, p),
+        lambda rng, p: owf_gen(rng, 1, 4, p),
+    ],
+    ids=["lpn-unstructured", "lpn", "symplpn-unstructured", "symplpn", "lsn", "owf"],
+)
+def test_generators_refuse_an_out_of_range_p_before_any_draw(make):
+    for p in (5, -3, 1.5, -0.1):
+        rng = Rng(12)
+        with pytest.raises(ValueError, match="p out of range"):
+            make(rng, p)
+        assert rng.bits(64) == Rng(12).bits(64)
+    for p in (0, 1):
+        assert make(Rng(12), p).p == p
