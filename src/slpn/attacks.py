@@ -63,15 +63,13 @@ def _expected_error_weight(instance: Instance) -> float:
 
 
 def _gray_walk(cols: list[int], start: int):
-    """(x, start ^ M @ x) for every x of len(cols) bits, where M has columns
-    ``cols``: x = 0 first, then Gray-code order, one column added per step."""
-    x = 0
-    yield x, start
+    """start ^ M @ x for every x of len(cols) bits, where M has columns
+    ``cols``, in Gray-code order: the i-th value is for x = i ^ (i >> 1), so
+    x = 0 comes first and each step adds one column."""
+    yield start
     for i in range(1, 1 << len(cols)):
-        j = (i & -i).bit_length() - 1
-        x ^= 1 << j
-        start ^= cols[j]
-        yield x, start
+        start ^= cols[(i & -i).bit_length() - 1]
+        yield start
 
 
 def brute_force_search(instance: Instance) -> tuple[BitVec, BitVec]:
@@ -86,10 +84,10 @@ def brute_force_search(instance: Instance) -> tuple[BitVec, BitVec]:
         raise ValueError("secret space too large to enumerate")
     nrows = instance.matrix.nrows
     best_w, best_x, best_e = nrows + 1, 0, 0  # any error weighs at most nrows
-    for x, e in _gray_walk(instance.matrix.transpose().rows, instance.word.value):
+    for i, e in enumerate(_gray_walk(instance.matrix.transpose().rows, instance.word.value)):
         w = _error_weight(instance.kind, e, nrows)
-        if w < best_w or (w == best_w and x < best_x):
-            best_w, best_x, best_e = w, x, e
+        if w < best_w or (w == best_w and i ^ (i >> 1) < best_x):
+            best_w, best_x, best_e = w, i ^ (i >> 1), e
     return BitVec(k, best_x), BitVec(nrows, best_e)
 
 
@@ -250,12 +248,12 @@ def min_distance(code: BitMat, pair_metric: bool = False) -> int:
     if pair_metric and code.nrows % 2:
         raise ValueError("pair metric needs 2n rows")
     n = code.nrows // 2
-    weights = (
-        pair_weight_int(c, n) if pair_metric else c.bit_count()
-        for _, c in _gray_walk(code.transpose().rows, 0)
-        if c
-    )
-    return min(weights, default=code.nrows + 1)
+    best = code.nrows + 1
+    for c in _gray_walk(code.transpose().rows, 0):
+        w = pair_weight_int(c, n) if pair_metric else c.bit_count()
+        if 0 < w < best:  # weight 0 is the zero codeword
+            best = w
+    return best
 
 
 def eta_weight(w: int, p: float) -> float:
