@@ -23,16 +23,14 @@ rows that way and transposes them. They are only for results whose bits fit
 by construction: ``__xor__``, ``flip_bits``, ``matvec``, ``matmul``, the
 transpose, ``take_cols``, ``from_cols``, ``row_vecs``, ``from_numpy`` after
 its ``& 1``, ``from_json`` and ``from_hex`` after the trailing-bits check,
-the ``Rng`` draws, the kernel, column-space and symplectic-dual bases, the
-three parts of the symplectic split, the columns of the isotropic and LSN
-samplers, of the hyperplane rotation, of the seed expansion, of the
-drop-bit transform's hyperplane basis and of the dual-mode transform.
+the ``Rng`` draws and the noise samplers, the kernel, column-space and
+symplectic-dual bases, the three parts of the symplectic split, the columns
+of the isotropic and LSN samplers, of the hyperplane rotation, of the seed
+expansion, of the drop-bit transform's hyperplane basis and of the
+dual-mode transform.
 Callers that want the columns as ints read ``transpose().rows`` rather than
-one BitVec per column from ``cols()``. At n=4 these objects are much of a call's cost: on a 2-core x86
-host (Python 3.11, numpy 2.4) a public ``BitVec`` took 0.8-0.9 us and a
-trusted one 0.4 us, and a drop-bit trial that built 38 BitVecs and 12 BitMats
-through ``__init__`` now builds 5 and 1.4 (``perfbench/run.py --trace 1``,
-``reductions.gf2.bitvec_init.calls`` and ``bitmat_init.calls``).
+one BitVec per column from ``cols()``. At n=4 building these objects is much
+of a call's cost, and skipping ``__init__`` cuts it.
 
 The symplectic dual of a growing isotropic span is what ``sample_isotropic``
 and the seed expansion spend nearly all their time on. The basis is kept in
@@ -48,27 +46,20 @@ library, and a step is a fixed number of whole-array numpy operations: a
 masked XOR-reduce over R and two scatters write the combination into a bit
 buffer, gathers at the swapped-half positions read its pairings straight
 from that buffer, and an AND, an XOR-reduce, a popcount, one masked rank-1
-XOR and a short column move do the restriction. Over a Lagrangian draw at
-n=512 a step touches 4.5 words per basis vector on average, where full
-2n-bit rows take 16. Both layouts run the same algorithm on the same basis
-order, so they consume randomness identically and return identical vectors.
-The cutoff was measured on a 2-core x86 host (Python 3.11, numpy 2.4),
-packed time over int time, median of 10 alternating rounds of best-of-5: at
-n=64 ``sample_isotropic`` 0.61, ``sample_lsn_matrices`` 0.85, ``invert``
-1.00 and ``expand`` 1.03; at n=56 0.76, 0.83, 1.10 and 1.17; at n=48 0.81,
-0.95, 1.24 and 1.32. So 2n = 128 is the smallest size at which no caller
-loses more than a few percent. At n=16 the fixed numpy cost per call makes
-the packed ``sample_isotropic`` 2.2 times slower, which is why the int
-layout stays for the small sizes the reductions and the exact-law checks
-run at.
+XOR and a short column move do the restriction. A step reads ceil(t/64)
+words per basis vector, where a full 2n-bit row spans 2n/64.
+Both layouts run the same algorithm on the same basis order, so they
+consume randomness identically and return identical vectors. 2n = 128 is
+the smallest size at which no caller is more than a few percent slower
+packed. Below it numpy's fixed cost per call outweighs the saving, so the
+int layout stays for the small sizes the reductions and the exact-law
+checks run at.
 
 Every int-row Gaussian elimination here is one ``EchelonSet``. The canonical
 forms (``solve``, the kernel bases, ``column_space_basis``) take pivots at
-the lowest column index, so they run it on bit-reversed rows. On a 2-core
-x86 host (Python 3.11, numpy 2.4) ``rank`` takes 22-33 ms at 1024 x 512.
-The reversal about doubles ``kernel_basis`` at 4 x 4 (24-32 us, against
-12-23 us for a direct scan), and no hot path calls it. The radical of a span
-is the span of the vectors that the symplectic split
+the lowest column index, so they run it on bit-reversed rows. The reversal
+slows ``kernel_basis`` at small sizes, where no hot path calls it. The
+radical of a span is the span of the vectors that the symplectic split
 (``symplectic_subspace_basis``) leaves unpaired.
 
 Information-set decoding solves the same system [M | b] on many row subsets.
@@ -80,15 +71,11 @@ column rank, where its solution is unique, so no pivot order can change the
 result. ``attacks.prange_isd`` draws its information sets in the same order
 as a one-at-a-time loop, takes the first success in that order, and rewinds
 the Rng to just after the winner's draw, so results, iteration counts and
-the stream are unchanged. It solves 32 sets per call. On a 2-core x86 host
-(Python 3.11, numpy 2.4), two sweeps over 8, 16, 32 and 64 sets per call
-gave a median prange time per iteration of 0.28-0.30, 0.18-0.20, 0.17 and
-0.15-0.18 ms at n=64, and 0.64-0.68, 0.46-0.47, 0.32-0.33 and 0.63-0.67 ms
-at n=128. Smaller calls pay numpy's fixed cost per column more often;
-larger ones solve more sets past the winning iteration. One set alone costs
-more this way than an augmented ``EchelonSet`` (0.9-1.4 against 0.3 ms for
-72 rows at k=64), so ``attacks.pair_aware_isd``, whose rank check must
-finish before its next draw, solves through the set it already builds for
+the stream are unchanged. It solves 32 sets per call: smaller calls pay
+numpy's fixed cost per column more often, and larger ones solve more sets
+past the winning iteration. One set alone costs more this way than an
+augmented ``EchelonSet``, so ``attacks.pair_aware_isd``, whose rank check
+must finish before its next draw, solves through the set it already builds for
 the rank check, which carries the right-hand side along.
 """
 from __future__ import annotations
@@ -493,10 +480,8 @@ def read_fields(obj, what: str, allowed: Optional[Iterable[str]] = None, **kinds
 
 
 # The most entries a matrix may have for _transpose_bitmat to walk its set
-# bits; larger ones go through numpy. On a 2-core x86 host (Python 3.11,
-# numpy 2.4), on random matrices, the walk took 13.8 against 15.3 us at
-# 14 x 14 and 19.4 against 16.3 us at 16 x 16, and the two tie from 192 to
-# 225 entries; numpy's lead grows to 92 against 27 us at 32 x 32.
+# bits; larger ones go through numpy, whose fixed cost the walk only beats
+# on small random matrices.
 _WALK_MAX_ENTRIES = 200
 
 

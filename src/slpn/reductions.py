@@ -180,6 +180,14 @@ def default_flood_count(n: int, p: float) -> int:
     return max(1, min((3 * n) // 4, math.ceil(raw)))
 
 
+def _check_flood_count(n: int, m: Optional[int]) -> None:
+    """ValueError unless m is None, for the default count, or lies in
+    1..floor(3n/4): the range ``default_flood_count`` clamps to, which keeps
+    the transformed rate at or below 3/4."""
+    if m is not None and not 1 <= m <= (3 * n) // 4:
+        raise ValueError(f"flood count m = {m} is outside 1..{(3 * n) // 4} at n = {n}")
+
+
 def drop_bit_transform(
     rng: Rng, instance: Instance, branch: Branch, m: Optional[int] = None
 ) -> Instance:
@@ -199,6 +207,8 @@ def drop_bit_transform(
     n, p = instance.n, instance.p
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_flood_count(n, m)
+    count = default_flood_count(n, p) if m is None else int(m)
     u = instance.word
     if branch is Branch.FLOODED:
         u = u.flip_bits(j for j, b in ((0, rng.bit()), (n, rng.bit())) if b)
@@ -225,9 +235,6 @@ def drop_bit_transform(
     kk = rot.k_pair - 1
     w = w.flip_bits(j for j, bit in ((kk, rng.bit()), (n + kk, rng.bit())) if bit)
 
-    count = default_flood_count(n, p) if m is None else int(m)
-    if count < 1:
-        raise ValueError("flood count must be positive")
     extras = [j for j in range(n) if j != kk][: count - 1]
     w = _overlay_pairs(rng, w, extras, n)
 
@@ -355,6 +362,7 @@ def measure_drop_bit(
     Trials alternate structured and unstructured inputs, so each arm needs one."""
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
+    _check_flood_count(n, m)
     counts = {True: [0, 0], False: [0, 0]}  # structured? -> [trials, said-structured]
     for i in range(trials):
         structured = i % 2 == 0

@@ -51,7 +51,9 @@ class Rng:
     """Counter-based keyed generator with explicit stream splitting.
 
     Single-owner: do not share one instance across threads; derive children
-    with :meth:`split` instead.
+    with :meth:`split` instead. Draws of up to 32 bits read the bit
+    generator's ``next_uint32`` directly and so skip numpy's per-generator
+    lock, which only guards against the sharing this contract rules out.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
@@ -59,6 +61,26 @@ class Rng:
         self.spawn_key = tuple(int(i) for i in _spawn_key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.Philox(ss))
+
+    def __getstate__(self) -> dict:
+        # the ctypes binding holds a pointer into this generator's state, so
+        # it is neither picklable nor valid for a copy; the copy binds anew
+        state = self.__dict__.copy()
+        state.pop("_next_word", None)
+        state.pop("_word_state", None)
+        return state
+
+    def _bind_word(self) -> int:
+        """Bind ``next_uint32`` on the first small draw and return its word.
+
+        Binding is deferred to here because the first ``ctypes`` access is
+        costly and most split children never make a small draw. The state
+        pointer stays valid while ``self._gen`` lives, and setting the bit
+        generator's state writes into the memory it points to.
+        """
+        iface = self._gen.bit_generator.ctypes
+        self._next_word, self._word_state = iface.next_uint32, iface.state
+        return self._next_word(self._word_state)
 
     def split(self, index: int) -> "Rng":
         """Independent child stream identified by (this seed, index)."""
@@ -72,15 +94,13 @@ class Rng:
         """``count`` uniform bits: the first ``count`` bits, little-endian, of
         ``Generator.bytes((count + 7) // 8)``.
 
-        ``bytes`` draws ceil(length / 4) uint32 words through the sized
-        ``integers`` path and keeps the first ``length`` bytes of their
-        little-endian encoding. Up to 32 bits that is one word, and one scalar
-        ``integers(0, 2**32, dtype=uint32)`` draws the same word from the same
-        state without the sized path's Python-level set-up, so masking it
-        gives the same bits and leaves the stream where ``bytes`` would
-        (``test_rng_mixed_draw_golden_stream`` pins it). On a 2-core x86
-        host (Python 3.11, numpy 2.4) a draw of 8 or 32 bits takes 4.3-5.0 us
-        this way against 12.1-12.8 us through ``bytes``. Either way a draw
+        ``bytes`` draws ceil(length / 4) uint32 words from the bit generator
+        and keeps the first ``length`` bytes of their little-endian encoding.
+        Up to 32 bits that is one word, which the bit generator's own
+        ``next_uint32`` returns from the same state, as does the scalar
+        ``integers(0, 2**32, dtype=uint32)``, so masking it gives the same
+        bits and leaves the stream where ``bytes`` would
+        (``test_rng_mixed_draw_golden_stream`` pins it). Either way a draw
         takes whole words, so one ``bits(32 * W)`` draw cut into runs of
         ceil(ceil(d/8)/4) words gives what separate ``bits(d)`` draws give,
         and leaves the same state; ``sample_isotropic`` relies on this.
@@ -88,7 +108,10 @@ class Rng:
         if count <= 0:
             return BitVec(count)  # no bits, or ValueError for a negative count
         if count <= 32:
-            word = int(self._gen.integers(0, 1 << 32, dtype=np.uint32))
+            try:
+                word = self._next_word(self._word_state)
+            except AttributeError:
+                word = self._bind_word()
             return BitVec._trusted(count, word & ((1 << count) - 1))
         raw = self._gen.bytes((count + 7) // 8)
         return BitVec._trusted(count, int.from_bytes(raw, "little") & ((1 << count) - 1))
@@ -125,24 +148,38 @@ def check_rate(p: float) -> float:
     return p
 
 
+def _packed(bits: np.ndarray) -> int:
+    """The int whose bit i is bits[i], for a bool array."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def sample_depolarizing(rng: Rng, n: int, p: float) -> BitVec:
     """Per-pair noise on a 2n-bit vector, pair j at bits (j, n + j): (0,0) w.p.
-    1-p, each of the other three patterns w.p. p/3."""
+    1-p, each of the other three patterns w.p. p/3.
+
+    A noisy pair j takes pattern 1, 2 or 3 as bits (j, n + j) = (1,0), (0,1)
+    or (1,1). Up to 8 noisy pairs are set one at a time; beyond that,
+    packing two bool arrays costs less than the loop.
+    """
     check_rate(p)
     gen = rng.numpy()
     noisy = gen.random(n) < p
     patterns = gen.integers(1, 4, size=n)
-    patterns = np.where(noisy, patterns, 0)
-    lo = (patterns & 1).astype(np.uint8)
-    hi = (patterns >> 1).astype(np.uint8)
-    return BitVec.from_numpy(np.concatenate([lo, hi]))
+    if np.count_nonzero(noisy) > 8:
+        lo = _packed(noisy & (patterns != 2))
+        hi = _packed(noisy & (patterns > 1))
+        return BitVec._trusted(2 * n, lo | hi << n)
+    value = 0
+    for j in np.flatnonzero(noisy).tolist():
+        pattern = int(patterns[j])
+        value |= (pattern & 1) << j | (pattern >> 1) << (n + j)
+    return BitVec._trusted(2 * n, value)
 
 
 def sample_bernoulli(rng: Rng, n: int, p: float) -> BitVec:
     """Each bit independently 1 with probability p."""
     check_rate(p)
-    gen = rng.numpy()
-    return BitVec.from_numpy((gen.random(n) < p).astype(np.uint8))
+    return BitVec._trusted(n, _packed(rng.numpy().random(n) < p))
 
 
 def sample_isotropic(rng: Rng, n: int, k: int) -> BitMat:

@@ -59,9 +59,11 @@ def test_keygen_auto_p(tmp_path):
          "slpn reduce: k must be at least 1, got 0"),
         (["reduce", "drop-bit", "--n", "4", "--p", "0.05", "--trials", "1"],
          "slpn reduce: trials must be at least 2, got 1"),
+        (["reduce", "drop-bit", "--n", "4", "--p", "0.05", "--m", "100", "--trials", "4"],
+         "slpn reduce: flood count m = 100 is outside 1..3 at n = 4"),
     ],
     ids=["decrypt-list-file", "keygen-p-2", "owf-gen-p-7", "reduce-lsn-k-0",
-         "reduce-drop-bit-trials-1"],
+         "reduce-drop-bit-trials-1", "reduce-drop-bit-m-100"],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

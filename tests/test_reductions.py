@@ -315,6 +315,35 @@ def test_flood_count_clamp():
     assert default_flood_count(1024, 0.1) == math.ceil(100 / (1 - 0.4 / 3))
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_drop_bit_accepts_the_largest_flood_count(n):
+    rng = Rng(79)
+    top = (3 * n) // 4
+    done = 0
+    while done < 5:
+        inst = gen_symplpn(rng, n, n, 0.05, structured=True)
+        try:
+            out = drop_bit_transform(rng, inst, Branch.FLOODED, m=top)
+        except HyperplaneDimensionError:
+            continue
+        assert out.p <= 0.75
+        done += 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_drop_bit_refuses_flood_counts_out_of_range_before_any_draw(n):
+    oracle = make_brute_oracle()
+    for m in (0, (3 * n) // 4 + 1):
+        rng, twin = Rng(80), Rng(80)
+        inst = gen_symplpn(rng, n, n, 0.05, structured=True)
+        gen_symplpn(twin, n, n, 0.05, structured=True)
+        with pytest.raises(ValueError, match=f"m = {m} "):
+            drop_bit_transform(rng, inst, Branch.FLOODED, m=m)
+        with pytest.raises(ValueError, match=f"m = {m} "):
+            measure_drop_bit(rng, oracle, n, 0.05, Branch.PLAIN, trials=2, m=m)
+        assert rng.bits(64) == twin.bits(64)
+
+
 # -- dual-mode transform ----------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Tests for seeded randomness, distribution samplers, and instance generators."""
+import copy
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -129,6 +131,42 @@ def test_rng_bits_runs_of_one_bulk_draw_equal_separate_draws():
         assert one.bits(64) == many.bits(64)
 
 
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("lead", [0, 1, 2, 3])
+def test_rng_small_bits_are_the_next_uint32_word(seed, lead):
+    # Philox hands out a 64-bit output as two 32-bit words and buffers the
+    # second half, so starting after an odd number of words puts a small
+    # draw on the buffered half; each small draw sits between draws that go
+    # through numpy's Generator, which must see the stream where it left it
+    rng, twin = Rng(seed), Rng(seed)
+    for gen in (rng.numpy(), twin.numpy()):
+        gen.integers(0, 1 << 32, size=lead, dtype=np.uint32)
+    others = [
+        lambda gen: gen.random(),
+        lambda gen: gen.integers(1, 4, size=5).tolist(),
+        lambda gen: gen.permutation(7).tolist(),
+    ]
+    for count in range(1, 33):
+        word = int(twin.numpy().integers(0, 1 << 32, dtype=np.uint32))
+        assert rng.bits(count) == BitVec(count, word & ((1 << count) - 1))
+        draw = others[count % len(others)]
+        assert draw(rng.numpy()) == draw(twin.numpy())
+        assert _state(rng) == _state(twin)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_rng_copies_continue_the_stream_after_a_small_draw(odd):
+    rng = Rng(5)
+    rng.bits(3)
+    if odd:
+        rng.bits(9)  # the next word is the buffered half of a Philox output
+    twins = [copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
+    want = [rng.bits(c) for c in (1, 17, 32, 40, 5)]
+    for twin in twins:
+        assert [twin.bits(c) for c in (1, 17, 32, 40, 5)] == want
+        assert _state(twin) == _state(rng)
+
+
 @pytest.mark.parametrize(
     "n, digest",
     [(4, "0fab7176a28849d3"), (64, "74002034d1dfb979"), (512, "033e22c63b85a78d")],
@@ -239,6 +277,40 @@ def test_gen_golden_stream(make, digest):
 
 
 # -- depolarizing noise -------------------------------------------------------
+
+
+def _reference_depolarizing(rng: Rng, n: int, p: float) -> BitVec:
+    """The first packing of ``sample_depolarizing``: a 2n-byte bit array
+    through the public constructor, on the same two draws."""
+    gen = rng.numpy()
+    noisy = gen.random(n) < p
+    patterns = gen.integers(1, 4, size=n)
+    patterns = np.where(noisy, patterns, 0)
+    lo = (patterns & 1).astype(np.uint8)
+    hi = (patterns >> 1).astype(np.uint8)
+    return BitVec.from_numpy(np.concatenate([lo, hi]))
+
+
+def _reference_bernoulli(rng: Rng, n: int, p: float) -> BitVec:
+    """The first packing of ``sample_bernoulli``, through the public constructor."""
+    return BitVec.from_numpy((rng.numpy().random(n) < p).astype(np.uint8))
+
+
+@pytest.mark.parametrize(
+    "sample, reference",
+    [(sample_depolarizing, _reference_depolarizing), (sample_bernoulli, _reference_bernoulli)],
+    ids=["depolarizing", "bernoulli"],
+)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 63, 64, 65, 128, 512])
+def test_noise_packing_matches_the_byte_array_reference(sample, reference, n):
+    # p = 0.03 and 0.3 at n = 512 set both fewer and more than the few noisy
+    # pairs that are packed one at a time
+    for seed in range(4):
+        for p in (0, 0.03, 0.3, 0.75, 1):
+            rng, ref = Rng(seed), Rng(seed)
+            for _ in range(3):
+                assert sample(rng, n, p) == reference(ref, n, p)
+            assert _state(rng) == _state(ref)
 
 
 def test_depolarizing_zero_noise():
