@@ -6,8 +6,8 @@ from collections import Counter
 _counters: Counter = Counter()
 
 
-def bump(name: str, by: int = 1) -> None:
-    _counters[name] += by
+def bump(name: str) -> None:
+    _counters[name] += 1
 
 
 def value(name: str) -> int:

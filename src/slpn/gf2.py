@@ -25,9 +25,9 @@ transpose, ``take_cols``, ``from_cols``, ``row_vecs``, ``from_numpy`` after
 its ``& 1``, ``from_json`` and ``from_hex`` after the trailing-bits check,
 the ``Rng`` draws and the noise samplers, the kernel, column-space and
 symplectic-dual bases, the three parts of the symplectic split, the columns
-of the isotropic and LSN samplers, of the hyperplane rotation, of the seed
-expansion, of the drop-bit transform's hyperplane basis and of the
-dual-mode transform.
+of the isotropic and LSN samplers, of the seed expansion, of the drop-bit
+transform's hyperplane basis and of the dual-mode transform, and the rows
+of the hyperplane rotation.
 Callers that want the columns as ints read ``transpose().rows`` rather than
 one BitVec per column from ``cols()``. At n=4 building these objects is much
 of a call's cost, and skipping ``__init__`` cuts it.

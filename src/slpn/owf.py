@@ -85,13 +85,12 @@ def owf_gen(rng: Rng, k: int, n: int, p: float) -> OwfIndex:
     return OwfIndex(n, k, p, a, b)
 
 
-def owf_sample(rng: Rng, index: OwfIndex, p: float | None = None) -> OwfInput:
+def owf_sample(rng: Rng, index: OwfIndex) -> OwfInput:
     """Uniform logical parts plus capped pair noise; over-cap draws fall back
     to the zero error so sampling never leaves the domain."""
-    p = index.p if p is None else p
     r = rng.bits(index.n)
     y = rng.bits(index.k)
-    e = sample_depolarizing(rng, index.n, p)
+    e = sample_depolarizing(rng, index.n, index.p)
     if pair_weight_int(e.value, index.n) > weight_cap(index):
         e = BitVec.zeros(2 * index.n)
     return OwfInput(r, y, e)

@@ -99,18 +99,16 @@ def gen_traced(rng: Rng, n: int, p: float) -> tuple[PublicKey, SecretKey, BitVec
     return PublicKey(n, p, a, b), SecretKey(n, x), e
 
 
-def enc(rng: Rng, pk: PublicKey, mu: int, p: float | None = None) -> Ciphertext:
-    ct, _ = enc_traced(rng, pk, mu, p)
+def enc(rng: Rng, pk: PublicKey, mu: int) -> Ciphertext:
+    ct, _ = enc_traced(rng, pk, mu)
     return ct
 
 
-def enc_traced(
-    rng: Rng, pk: PublicKey, mu: int, p: float | None = None
-) -> tuple[Ciphertext, BitVec]:
+def enc_traced(rng: Rng, pk: PublicKey, mu: int) -> tuple[Ciphertext, BitVec]:
     """Encryption that also returns the 2n-bit encryption noise f, for white-box checks."""
     if mu not in (0, 1):
         raise ValueError("message must be a single bit")
-    f = sample_depolarizing(rng, pk.n, pk.p if p is None else p)
+    f = sample_depolarizing(rng, pk.n, pk.p)
     u = symp_vec_mat(f, pk.a)
     c = (symp_inner(f, pk.b) + mu) & 1
     return Ciphertext(u, c), f

@@ -193,11 +193,14 @@ def drop_bit_transform(
 ) -> Instance:
     """Map an n-logical-bit sample to an (n-1)-logical-bit sample.
 
-    Pipeline: (flooded branch only: add uniform bits to pair 1) -> restrict
-    the code to the hyperplane of first-coordinate-zero vectors, fixing the
-    word up by a code vector when its first bit is 1 -> apply a random
-    symplectic hyperplane rotation -> overlay a uniform pair at the rotation's
-    pivot index -> flood m - 1 more pairs -> symmetrize the planted noise.
+    Pipeline: (flooded branch only: overlay a uniform pair on pair 1) ->
+    restrict the code to the hyperplane of first-coordinate-zero vectors,
+    fixing the word up by a code vector when its first bit is 1 -> apply a
+    random symplectic hyperplane rotation -> declare the rotation's pivot
+    pair and m - 1 others noisy -> symmetrize. The symmetrization overlays
+    fresh uniform noise on every noisy pair, which makes them uniform
+    whatever they held, so they need no flood of their own; m sets the
+    symmetrization's binomial and the output rate.
 
     Raises HyperplaneDimensionError when the hyperplane does not drop a
     dimension (no code vector has first coordinate 1).
@@ -211,7 +214,7 @@ def drop_bit_transform(
     count = default_flood_count(n, p) if m is None else int(m)
     u = instance.word
     if branch is Branch.FLOODED:
-        u = u.flip_bits(j for j, b in ((0, rng.bit()), (n, rng.bit())) if b)
+        u = _overlay_pairs(rng, u, [0], n)
 
     cols = instance.matrix.transpose().rows
     at = next((i for i, c in enumerate(cols) if c & 1), None)
@@ -233,12 +236,7 @@ def drop_bit_transform(
     w = rot.c.matvec(u)
 
     kk = rot.k_pair - 1
-    w = w.flip_bits(j for j, bit in ((kk, rng.bit()), (n + kk, rng.bit())) if bit)
-
-    extras = [j for j in range(n) if j != kk][: count - 1]
-    w = _overlay_pairs(rng, w, extras, n)
-
-    noisy = [kk] + extras
+    noisy = [kk] + [j for j in range(n) if j != kk][: count - 1]
     w, perm = symmetrize_noise(rng, w, noisy, n)
     b = permute_rows_pairs(b, perm)
     # the symmetrized flood convolves with the carried noise: rate

@@ -88,7 +88,9 @@ class Rng:
 
     # -- primitives ----------------------------------------------------
     def bit(self) -> int:
-        return int(self._gen.integers(0, 2))
+        """The top bit of the next 32-bit word: the bit ``integers(0, 2)``
+        returns, leaving the same state."""
+        return self.bits(32).value >> 31
 
     def bits(self, count: int) -> BitVec:
         """``count`` uniform bits: the first ``count`` bits, little-endian, of
@@ -429,25 +431,12 @@ def gen_symplpn(
     return Instance(InstanceKind.SYMPLPN, a, word, k, n, p, witness)
 
 
-def gen_lsn(
-    rng: Rng,
-    k: int,
-    n: int,
-    p: float,
-    keep_witness: bool = False,
-    force_y: Optional[BitVec] = None,
-) -> Instance:
-    """word = a @ r + b @ y + e with r, y uniform and e depolarizing(p).
-
-    force_y is a test hook: with y = 0 the pair (a-part, word) is exactly a
-    structured 2n-row instance over the isotropic code a.
-    """
+def gen_lsn(rng: Rng, k: int, n: int, p: float, keep_witness: bool = False) -> Instance:
+    """word = a @ r + b @ y + e with r, y uniform and e depolarizing(p)."""
     check_rate(p)
     a, b = sample_lsn_matrices(rng, k, n)
     r = rng.bits(n)
-    y = rng.bits(k) if force_y is None else force_y
-    if y.nbits != k:
-        raise ValueError("forced y has wrong length")
+    y = rng.bits(k)
     e = sample_depolarizing(rng, n, p)
     word = a.matvec(r) ^ b.matvec(y) ^ e
     witness = Witness(True, r.concat(y), e) if keep_witness else None
@@ -498,23 +487,15 @@ class HyperplaneRotation:
         # r' is r with pair 1 and pair k exchanged; its (n+1)st bit is then 1
         rp = r.value
         if kk != 0:
-            rp = _swap_bits(rp, 0, kk)
-            rp = _swap_bits(rp, n, n + kk)
-        cols = [0] * (2 * n)
-        cols[0] = 1  # e_1 -> e_1
-        cols[n] = rp  # f_1 -> r'
-        rp_sw = swap_halves(rp, n)
-        e1 = 1
-        for j in range(2, n + 1):
-            ej = 1 << (j - 1)
-            fj = 1 << (n + j - 1)
-            # e_j -> e_j + (r' . e_j) e_1 and f_j -> f_j + (r' . f_j) e_1
-            cols[j - 1] = ej ^ (e1 if rp_sw & ej else 0)
-            cols[n + j - 1] = fj ^ (e1 if rp_sw & fj else 0)
+            rp = _swap_bits(_swap_bits(rp, 0, kk), n, n + kk)
+        # f_1 -> r' and every other basis vector x -> x + (r' . x) e_1: the
+        # identity with column f_1 replaced by r', plus the pairings in row e_1
+        rows = [1 << i | ((rp >> i) & 1) << n for i in range(2 * n)]
+        rows[0] |= swap_halves(rp, n) & ~(1 | 1 << n)
         # compose with the pair swap (1 <-> k) acting on the output coordinates
-        if kk != 0:
-            cols = [_swap_bits(_swap_bits(c, 0, kk), n, n + kk) for c in cols]
-        return cls(BitMat._trusted_cols(2 * n, cols), r, k)
+        rows[0], rows[kk] = rows[kk], rows[0]
+        rows[n], rows[n + kk] = rows[n + kk], rows[n]
+        return cls(BitMat._trusted(2 * n, 2 * n, tuple(rows)), r, k)
 
     @classmethod
     def sample(cls, rng: Rng, n: int) -> "HyperplaneRotation":

@@ -130,8 +130,10 @@ def test_advantage_reports_pinned():
         Rng(22), make_brute_oracle(weight_threshold=1), n=4, p=0.05,
         branch=Branch.PLAIN, trials=60, m=1,
     )
-    assert (rep.advantage, rep.ci_lo, rep.ci_hi) == (0.2666666666666666, 0.0, 0.592064325841498)
-    assert rep.details == {"p_structured": 0.6666666666666666, "p_unstructured": 0.4}
+    assert (rep.advantage, rep.ci_lo, rep.ci_hi) == (
+        0.4333333333333334, 0.12770127443760054, 0.7389653922290662
+    )
+    assert rep.details == {"p_structured": 0.7666666666666667, "p_unstructured": 0.3333333333333333}
 
 def test_advantage_requires_enough_trials():
     rng = Rng(4)

@@ -1,4 +1,5 @@
 """Tests for the instance reductions, with exhaustive oracles at small sizes."""
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -147,6 +148,46 @@ def test_symmetrize_resample_counter():
     assert diagnostics.value("reductions.symmetrize_resample") > 100
 
 
+class _ScriptedRng:
+    """Stands in for an Rng in ``symmetrize_noise``: a fixed binomial draw T,
+    a fixed permutation and a given overlay for the bits(2T) draw."""
+
+    def __init__(self, t, perm, overlay):
+        self.t, self.perm, self.overlay = t, perm, overlay
+
+    def binomial(self, n, p):
+        return self.t
+
+    def permutation(self, n):
+        return self.perm
+
+    def bits(self, count):
+        return BitVec(count, self.overlay)
+
+
+def test_symmetrize_overlay_absorbs_noise_on_the_noisy_pairs():
+    # for fixed T and permutation the overlay runs over all 4^T values, so
+    # the outputs form the same multiset whatever the input held on the
+    # chosen pairs, which include the noisy ones; drop_bit_transform adds no
+    # noise of its own there because of this
+    n, noisy, perm = 4, [1, 3], (2, 0, 3, 1)
+    vec = from_pairs([(1, 0), (0, 1), (1, 1), (0, 1)])
+
+    def outputs(t, v):
+        return Counter(
+            symmetrize_noise(_ScriptedRng(t, perm, o), v, noisy, n)[0].value
+            for o in range(4**t)
+        )
+
+    for t in range(len(noisy), n + 1):
+        base = outputs(t, vec)
+        for x1, x3 in itertools.product(range(4), repeat=2):
+            x = from_pairs([(0, 0), (x1 & 1, x1 >> 1), (0, 0), (x3 & 1, x3 >> 1)])
+            assert outputs(t, vec ^ x) == base
+    # at T = 3 the chosen pairs are 0, 1 and 3: noise on pair 2 shows
+    assert outputs(3, vec ^ from_pairs([(0, 0), (0, 0), (1, 0), (0, 0)])) != outputs(3, vec)
+
+
 # -- logical-part guesser --------------------------------------------------------
 
 
@@ -154,9 +195,13 @@ def test_lsn_guesser_perfect_oracle_zero_y():
     rng = Rng(64)
     k, n = 2, 4
     for _ in range(40):
-        inst = gen_lsn(rng, k, n, 0.0, keep_witness=True, force_y=BitVec.zeros(k))
+        inst = gen_lsn(rng, k, n, 0.0, keep_witness=True)
+        y = inst.witness.secret.sub(n, n + k)
+        zero_y = dataclasses.replace(
+            inst, word=inst.word ^ inst.lsn_b_part().matvec(y), witness=None
+        )
         oracle = make_brute_oracle(weight_threshold=0)
-        assert lsn_to_symplpn(rng, inst.without_witness(), oracle) == BitVec.zeros(k)
+        assert lsn_to_symplpn(rng, zero_y, oracle) == BitVec.zeros(k)
 
 
 def test_lsn_guesser_forced_correct_at_k1():

@@ -154,6 +154,22 @@ def test_rng_small_bits_are_the_next_uint32_word(seed, lead):
         assert _state(rng) == _state(twin)
 
 
+@pytest.mark.parametrize("lead", [0, 1])
+def test_rng_bit_is_the_top_bit_of_the_next_uint32_word(lead):
+    # the bit integers(0, 2) returns, from the same single word, after an
+    # even and an odd number of words; the Generator draws in between must
+    # see the stream where the bit left it
+    rng, twin = Rng(3), Rng(3)
+    for gen in (rng.numpy(), twin.numpy()):
+        gen.integers(0, 1 << 32, size=lead, dtype=np.uint32)
+    for i in range(40):
+        word = int(twin.numpy().integers(0, 1 << 32, dtype=np.uint32))
+        assert rng.bit() == word >> 31
+        if i % 3 == 0:
+            assert rng.numpy().random() == twin.numpy().random()
+        assert _state(rng) == _state(twin)
+
+
 @pytest.mark.parametrize("odd", [False, True])
 def test_rng_copies_continue_the_stream_after_a_small_draw(odd):
     rng = Rng(5)
@@ -478,11 +494,14 @@ def test_gen_lsn_witness_recomputes_error():
 
 
 def test_gen_lsn_forced_zero_y_is_structured_over_a():
+    # with b @ y taken off the word, (a-part, word) is a structured 2n-row
+    # instance over the isotropic code a; at zero noise the word lies in im(a)
     rng = Rng(36)
     for _ in range(30):
-        inst = gen_lsn(rng, 2, 3, 0.0, keep_witness=True, force_y=BitVec.zeros(2))
-        # zero noise and y = 0: word lies in im(a)
-        assert solve(inst.lsn_a_part(), inst.word) is not None
+        inst = gen_lsn(rng, 2, 3, 0.0, keep_witness=True)
+        y = inst.witness.secret.sub(3, 5)
+        word = inst.word ^ inst.lsn_b_part().matvec(y)
+        assert solve(inst.lsn_a_part(), word) is not None
 
 
 def test_gen_lsn_first_b_column_uniform_outside_image():
@@ -655,14 +674,42 @@ def test_rotation_cf1_uniform_over_valid_vectors():
     assert chisquare(list(counts.values())).pvalue > 0.001
 
 
-def test_rotation_exhaustive_n2_matches_reference():
-    # independent dense reference for every r at n = 2
-    n = 2
-    for rv in range(16):
-        r = BitVec(4, rv)
-        rot = HyperplaneRotation.from_vector(r)
-        assert is_symplectic(rot.c)
-        if rot.k_pair is None:
-            assert (rv >> n) == 0
-        else:
-            assert rot.c.matvec(BitVec.unit(4, n)) == r
+def _swap(v: int, i: int, j: int) -> int:
+    """v with bits i and j exchanged."""
+    if (v >> i) & 1 != (v >> j) & 1:
+        v ^= (1 << i) | (1 << j)
+    return v
+
+
+def _reference_rotation(r: BitVec) -> tuple[BitMat, int | None]:
+    """(c, k_pair) built column by column, as the map's definition reads: with
+    r' = r after the pair swap 1 <-> k, e_1 -> e_1, f_1 -> r', every other
+    basis vector x -> x + (r' . x) e_1, then the pair swap on the outputs."""
+    n = r.nbits // 2
+    k = next((j for j in range(1, n + 1) if r.bit(n + j - 1)), None)
+    if k is None:
+        return BitMat.identity(2 * n), None
+    kk = k - 1
+    rp = _swap(_swap(r.value, 0, kk), n, n + kk)
+    cols = [1] + [0] * (2 * n - 1)
+    cols[n] = rp
+    for i in [*range(1, n), *range(n + 1, 2 * n)]:
+        # r' . x for x the unit vector at i is the bit of r' at i's partner
+        cols[i] = 1 << i | (rp >> ((i + n) % (2 * n))) & 1
+    cols = [_swap(_swap(c, 0, kk), n, n + kk) for c in cols]
+    return BitMat.from_cols([BitVec(2 * n, c) for c in cols]), k
+
+
+def test_rotation_exhaustive_matches_reference():
+    # every r at n = 2, 3 and 4
+    for n in (2, 3, 4):
+        f1 = BitVec.unit(2 * n, n)
+        for rv in range(1 << (2 * n)):
+            r = BitVec(2 * n, rv)
+            rot = HyperplaneRotation.from_vector(r)
+            assert (rot.c, rot.k_pair) == _reference_rotation(r)
+            assert is_symplectic(rot.c)
+            if rot.k_pair is None:
+                assert (rv >> n) == 0
+            else:
+                assert rot.c.matvec(f1) == r
