@@ -124,8 +124,8 @@ def witness_oracle(instance: Instance) -> Decision:
 
 # Prange iterations drawn and solved per call of the batched solver. A larger
 # batch spreads numpy's fixed cost per column over more systems but solves
-# more systems past the winning iteration; the measurement is in the gf2
-# module docstring.
+# more systems past the winning iteration; the measurement is in README's
+# "Speed of information-set decoding".
 ISD_BATCH = 32
 
 
@@ -154,6 +154,8 @@ def prange_isd(
     stream is rewound to just after the winning iteration's draw, so the
     result and the Rng state are those of a one-at-a-time loop.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters = {max_iters} is negative")
     if weight_threshold is None:
         weight_threshold = _default_isd_threshold(instance)
     nrows = instance.matrix.nrows
@@ -203,6 +205,8 @@ def pair_aware_isd(
     """
     if instance.matrix.nrows % 2:
         raise ValueError("pair-aware decoding needs 2n rows")
+    if max_iters < 0:
+        raise ValueError(f"max_iters = {max_iters} is negative")
     if weight_threshold is None:
         weight_threshold = _default_isd_threshold(instance)
     n = instance.matrix.nrows // 2

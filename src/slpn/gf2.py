@@ -25,9 +25,9 @@ transpose, ``take_cols``, ``from_cols``, ``row_vecs``, ``from_numpy`` after
 its ``& 1``, ``from_json`` and ``from_hex`` after the trailing-bits check,
 the ``Rng`` draws and the noise samplers, the kernel, column-space and
 symplectic-dual bases, the three parts of the symplectic split, the columns
-of the isotropic and LSN samplers, of the seed expansion, of the drop-bit
-transform's hyperplane basis and of the dual-mode transform, and the rows
-of the hyperplane rotation.
+of a dual's ``grow``, of the LSN sampler, of the seed expansion, of the
+drop-bit transform's hyperplane basis and of the dual-mode transform, and
+the rows of the hyperplane rotation.
 Callers that want the columns as ints read ``transpose().rows`` rather than
 one BitVec per column from ``cols()``. At n=4 building these objects is much
 of a call's cost, and skipping ``__init__`` cuts it.
@@ -81,7 +81,7 @@ the rank check, which carries the right-hand side along.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -745,7 +745,7 @@ def symp_dual_basis(s: BitMat) -> BitMat:
 # -- incremental symplectic dual ---------------------------------------------
 
 # 2n from which incremental_dual keeps the basis word-packed in numpy; the
-# measurement behind it is in the module docstring.
+# measurement behind it is in README's "Speed of the random isotropic code".
 _PACKED_MIN_BITS = 128
 
 
@@ -798,6 +798,15 @@ class _IntDual:
         v = xor_rows(self.rows, coeffs)
         return v if self.restrict(v) else 0
 
+    def grow(self, k: int, draw: Callable[[int], BitVec]) -> BitMat:
+        """The 2n x k matrix of the first k vectors ``extend`` keeps from ``draw(dim)``."""
+        cols = []
+        while len(cols) < k:
+            v = self.extend(draw(len(self.free)).value)
+            if v:
+                cols.append(v)
+        return BitMat._trusted_cols(2 * self.n, cols)
+
     def coefficients(self, v: int) -> int:
         """The coeffs with ``combine(coeffs) == v`` for a v in the span: the
         bits of v at the free columns, gathered from its binary string in C
@@ -814,6 +823,11 @@ class _IntDual:
 # pivot k's bit in its word of _PackedDual.r: where np.packbits puts index
 # k % 64 of a bit stream
 _PIVOT_BIT = np.packbits(np.eye(64, dtype=np.uint8), axis=1).view(np.uint64)[:, 0]
+
+
+def _words(d: int) -> int:
+    """The 32-bit words that a draw of d bits takes: ceil(ceil(d/8)/4)."""
+    return ((d + 7) // 8 + 3) // 4
 
 
 class _PackedDual:
@@ -833,10 +847,10 @@ class _PackedDual:
     in column order, each as p ^ 7, so scatters at it write a combination
     into a buffer. Row 1 holds the same positions with their halves
     swapped, p +- n, so gathers at it read the buffer's pairing with each
-    pivot and free position; one move updates both rows. The fused step
-    ``extend_bits`` combines into a buffer and restricts by the vector
-    there, with no int in between. The words of ``r`` hold the pivot bits
-    as ``np.packbits`` packs that stream. Unused pivot slots point at bit
+    pivot and free position; one move updates both rows. ``extend`` and
+    ``grow`` combine into a buffer and restrict by the vector there, with no
+    int in between. The words of ``r`` hold the pivot bits as
+    ``np.packbits`` packs that stream. Unused pivot slots point at bit
     2n, which a buffer never sets.
     """
 
@@ -912,18 +926,46 @@ class _PackedDual:
         self._combine_into(self._coeff_bits(coeffs), self.out)
         return self._to_int(self.out)
 
-    def extend_bits(self, cols: np.ndarray, out: np.ndarray) -> bool:
-        """The fused step on bit buffers: the combination selected by
-        ``cols`` (one uint8 bit per column, column c for basis vector
-        dim-1-c) is written to ``out``, a zeroed buffer of 8 * nbytes bits
-        or one this method wrote before, and restricted by. True when it was
-        outside the span and is now in it."""
-        self._combine_into(cols, out)
-        return self._restrict_bits(out)
-
     def extend(self, coeffs: int) -> int:
         out = self.out
-        return self._to_int(out) if self.extend_bits(self._coeff_bits(coeffs), out) else 0
+        self._combine_into(self._coeff_bits(coeffs), out)
+        return self._to_int(out) if self._restrict_bits(out) else 0
+
+    def grow(self, k: int, draw: Callable[[int], BitVec]) -> BitMat:
+        """``_IntDual.grow`` with one bulk draw: the same matrix, and the same
+        bits taken from ``draw``, when ``draw(d)`` takes ceil(ceil(d/8)/4)
+        whole 32-bit words and a draw of 32 * W bits equals W one-word draws
+        back to back, as ``Rng.bits`` does.
+
+        One draw holds the words that one ``draw(dim)`` per remaining column
+        would take, and the columns take them in runs in that order. A
+        rejected column's run is spent as a per-column draw would spend it,
+        so the words run out early; the next draw takes what the columns
+        left would take if all were kept. Each column is combined into its
+        own row of bits, and the matrix is packed from those rows once.
+        """
+        m = 2 * self.n
+        rows = np.zeros((k, 8 * self.nbytes), dtype=np.uint8)
+        # the drawn bits not yet taken, last first, so that a run read from the
+        # end lists its coefficients in column order
+        stream = np.zeros(0, dtype=np.uint8)
+        end = j = 0
+        while j < k:
+            d = m - j
+            run = 32 * _words(d)
+            if run > end:
+                more = sum(_words(m - i) for i in range(j, k)) - end // 32
+                raw = draw(32 * more).value.to_bytes(4 * more, "little")
+                fresh = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+                stream = np.concatenate((fresh[::-1], stream[:end]))
+                end = len(stream)
+            row = rows[j]
+            self._combine_into(stream[end - d : end], row)
+            if self._restrict_bits(row):
+                j += 1
+            end -= run
+        # row j holds column j's bit p at p ^ 7
+        return BitMat._trusted_bits(rows[:, np.arange(m) ^ 7].T)
 
     def basis(self) -> list[int]:
         # all basis vectors at once, row c laid out as _combine_into lays

@@ -46,21 +46,17 @@ class StatSummary:
     ci_lo: float
     ci_hi: float
     samples: int
-    chi_square: Optional[float] = None
 
     def __post_init__(self):
         if not self.ci_lo <= self.estimate <= self.ci_hi:
             raise ValueError("interval must contain the estimate")
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "estimate": self.estimate,
             "ci": [self.ci_lo, self.ci_hi],
             "samples": self.samples,
         }
-        if self.chi_square is not None:
-            obj["chi_square"] = self.chi_square
-        return obj
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -123,7 +123,7 @@ def convolve_param(p: float, q: float) -> float:
         raise ValueError("p out of range")
     if not p <= q <= 0.75:
         raise ValueError("q out of range")
-    return (q - p) / (1.0 - (4.0 / 3.0) * p)
+    return (q - p) / (1.0 - (4.0 / 3.0) * p) if q > p else 0.0
 
 
 def symmetrize_noise(
@@ -180,10 +180,12 @@ def default_flood_count(n: int, p: float) -> int:
     return max(1, min((3 * n) // 4, math.ceil(raw)))
 
 
-def _check_flood_count(n: int, m: Optional[int]) -> None:
-    """ValueError unless m is None, for the default count, or lies in
-    1..floor(3n/4): the range ``default_flood_count`` clamps to, which keeps
-    the transformed rate at or below 3/4."""
+def _check_drop_bit(n: int, p: float, m: Optional[int]) -> None:
+    """ValueError unless p < 3/4, where 1 - 4p/3 > 0, and m is None, for the
+    default count, or lies in 1..floor(3n/4): the range ``default_flood_count``
+    clamps to, which keeps the transformed rate at or below 3/4."""
+    if not p < 0.75:
+        raise ValueError(f"the drop-bit reduction needs p < 3/4, got p = {p}")
     if m is not None and not 1 <= m <= (3 * n) // 4:
         raise ValueError(f"flood count m = {m} is outside 1..{(3 * n) // 4} at n = {n}")
 
@@ -210,7 +212,7 @@ def drop_bit_transform(
     n, p = instance.n, instance.p
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_flood_count(n, m)
+    _check_drop_bit(n, p, m)
     count = default_flood_count(n, p) if m is None else int(m)
     u = instance.word
     if branch is Branch.FLOODED:
@@ -360,7 +362,7 @@ def measure_drop_bit(
     Trials alternate structured and unstructured inputs, so each arm needs one."""
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
-    _check_flood_count(n, m)
+    _check_drop_bit(n, p, m)
     counts = {True: [0, 0], False: [0, 0]}  # structured? -> [trials, said-structured]
     for i in range(trials):
         structured = i % 2 == 0

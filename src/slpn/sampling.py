@@ -24,7 +24,6 @@ from .gf2 import (
     read_fields,
     swap_halves,
 )
-from .gf2 import _PackedDual
 
 __all__ = [
     "Rng",
@@ -105,7 +104,7 @@ class Rng:
         (``test_rng_mixed_draw_golden_stream`` pins it). Either way a draw
         takes whole words, so one ``bits(32 * W)`` draw cut into runs of
         ceil(ceil(d/8)/4) words gives what separate ``bits(d)`` draws give,
-        and leaves the same state; ``sample_isotropic`` relies on this.
+        and leaves the same state, which the packed dual's ``grow`` relies on.
         """
         if count <= 0:
             return BitVec(count)  # no bits, or ValueError for a negative count
@@ -187,8 +186,9 @@ def sample_bernoulli(rng: Rng, n: int, p: float) -> BitVec:
 def sample_isotropic(rng: Rng, n: int, k: int) -> BitMat:
     """Uniform 2n x k full-column-rank matrix with symplectically orthogonal columns.
 
-    Built column by column: each new column is uniform in the symplectic dual
-    of the previous ones, rejecting vectors inside their span. The span is
+    Built column by column by the dual's ``grow``: uniform coefficients from
+    ``rng.bits`` make each new column uniform in the symplectic dual of the
+    previous ones, and vectors inside their span are rejected. The span is
     the dual of the dual, so a vector lies in it exactly when it pairs to 0
     with every dual vector, and ``extend`` then refuses it.
     """
@@ -196,53 +196,7 @@ def sample_isotropic(rng: Rng, n: int, k: int) -> BitMat:
         raise ValueError(f"{'n' if n < 0 else 'k'} is negative")
     if k > n:
         raise ValueError("an isotropic subspace of Z_2^{2n} has dimension at most n")
-    dual = incremental_dual(n)
-    if isinstance(dual, _PackedDual):
-        return _isotropic_packed(rng, dual, k)
-    cols = []
-    while len(cols) < k:
-        v = dual.extend(rng.bits(dual.dim).value)
-        if v:
-            cols.append(v)
-    return BitMat._trusted_cols(2 * n, cols)
-
-
-def _words(d: int) -> int:
-    """The 32-bit words of the stream that ``Rng.bits(d)`` takes."""
-    return ((d + 7) // 8 + 3) // 4
-
-
-def _isotropic_packed(rng: Rng, dual: _PackedDual, k: int) -> BitMat:
-    """``sample_isotropic`` on the packed layout, with the same stream.
-
-    One ``rng.bits`` call draws the words that one ``rng.bits(dim)`` call
-    per remaining column would, and the columns take them in runs in that
-    order. A rejected column's run is spent as a per-column draw would
-    spend it, so the words run out early; the next call then draws what the
-    columns left would take if all were kept, so no word is drawn that the
-    per-column loop would not draw. Each column is combined into its own
-    row of bits, and the matrix is packed from those rows once.
-    """
-    m = 2 * dual.n
-    rows = np.zeros((k, 8 * dual.nbytes), dtype=np.uint8)
-    # the drawn bits not yet taken, last first, so that a run read from the
-    # end lists its coefficients in column order
-    stream = np.zeros(0, dtype=np.uint8)
-    end = j = 0
-    while j < k:
-        d = m - j
-        run = 32 * _words(d)
-        if run > end:
-            more = sum(_words(m - i) for i in range(j, k)) - end // 32
-            raw = rng.bits(32 * more).value.to_bytes(4 * more, "little")
-            fresh = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-            stream = np.concatenate((fresh[::-1], stream[:end]))
-            end = len(stream)
-        if dual.extend_bits(stream[end - d : end], rows[j]):
-            j += 1
-        end -= run
-    # row j holds column j's bit p at p ^ 7
-    return BitMat._trusted_bits(rows[:, np.arange(m) ^ 7].T)
+    return incremental_dual(n).grow(k, rng.bits)
 
 
 def draw_dual_outside(rng: Rng, dual, span: EchelonSet) -> int:

@@ -180,6 +180,19 @@ def test_prange_gives_up():
     assert res.iterations == 5
 
 
+@pytest.mark.parametrize("attack", [prange_isd, pair_aware_isd])
+def test_isd_refuses_a_negative_iteration_cap_before_any_draw(attack):
+    rng, twin = Rng(16), Rng(16)
+    inst = gen_symplpn(rng, 8, 8, 0.1, structured=True)
+    gen_symplpn(twin, 8, 8, 0.1, structured=True)
+    with pytest.raises(ValueError, match="max_iters = -5"):
+        attack(rng, inst, max_iters=-5)
+    assert rng.bits(64) == twin.bits(64)
+    # a zero cap stays valid: no iteration, no success
+    res = attack(rng, inst, max_iters=0)
+    assert (res.success, res.iterations) == (False, 0)
+
+
 def test_prange_per_iteration_rate_matches_exhaustive():
     # at zero noise the per-iteration success probability is exactly the
     # chance that a random size-k row subset is an information set

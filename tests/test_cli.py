@@ -61,9 +61,11 @@ def test_keygen_auto_p(tmp_path):
          "slpn reduce: trials must be at least 2, got 1"),
         (["reduce", "drop-bit", "--n", "4", "--p", "0.05", "--m", "100", "--trials", "4"],
          "slpn reduce: flood count m = 100 is outside 1..3 at n = 4"),
+        (["reduce", "drop-bit", "--n", "4", "--p", "0.75", "--trials", "2"],
+         "slpn reduce: the drop-bit reduction needs p < 3/4, got p = 0.75"),
     ],
     ids=["decrypt-list-file", "keygen-p-2", "owf-gen-p-7", "reduce-lsn-k-0",
-         "reduce-drop-bit-trials-1", "reduce-drop-bit-m-100"],
+         "reduce-drop-bit-trials-1", "reduce-drop-bit-m-100", "reduce-drop-bit-p-0.75"],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -146,6 +148,19 @@ def test_attack_cli(tmp_path, capsys):
     # every attack prints one result shape
     assert keys["brute"] == keys["prange"] == keys["pair-isd"]
     assert "wall_time" in keys["brute"]
+
+
+@pytest.mark.parametrize("algorithm", ["prange", "pair-isd"])
+def test_attack_negative_max_iters_exits_2_without_traceback(tmp_path, capsys, algorithm):
+    # the bad-input table's file is not an instance, so this row has its own
+    inst_file = tmp_path / "inst.json"
+    run(["sample", "--kind", "symplpn", "--n", "8", "--k", "8", "--p", "0.05",
+         "--structured", "--seed", "10", "--out", str(inst_file)])
+    capsys.readouterr()
+    assert run(["attack", algorithm, "--in", str(inst_file), "--max-iters", "-5", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "slpn attack: max_iters = -5 is negative"
 
 
 # Pinned at the commit before `attack` lost its worker fan-out; wall_time is

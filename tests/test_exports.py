@@ -1,6 +1,6 @@
 """Module structure: every name a slpn module lists in ``__all__`` resolves on
 that module, and the modules import one another once, at the top, along an
-acyclic graph."""
+acyclic graph, and only by public names."""
 import ast
 import importlib
 import os
@@ -48,3 +48,20 @@ def test_each_module_imports_first_in_a_fresh_interpreter():
         ).returncode
     ]
     assert failed == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # the imported name counts, not its alias: `from .pke import dec as _dec`
+    # imports a public name
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "slpn"
+            ):
+                private.extend(
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert private == []

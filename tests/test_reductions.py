@@ -58,6 +58,7 @@ def convolve_pair(d1, d2):
 def test_convolve_param_edges():
     assert convolve_param(0.2, 0.2) == 0.0
     assert convolve_param(0.0, 0.4) == 0.4
+    assert convolve_param(0.75, 0.75) == 0.0
 
 
 def test_convolve_param_exact_over_grid():
@@ -387,6 +388,21 @@ def test_drop_bit_refuses_flood_counts_out_of_range_before_any_draw(n):
         with pytest.raises(ValueError, match=f"m = {m} "):
             measure_drop_bit(rng, oracle, n, 0.05, Branch.PLAIN, trials=2, m=m)
         assert rng.bits(64) == twin.bits(64)
+
+
+@pytest.mark.parametrize("p", [0.75, 0.9, 1.0])
+def test_drop_bit_refuses_p_from_three_quarters_before_any_draw(p):
+    # at p = 3/4 the default flood count divides by 1 - 4p/3 = 0; above it
+    # the clamped count would report an output rate below p
+    n = 4
+    rng, twin = Rng(81), Rng(81)
+    inst = gen_symplpn(rng, n, n, p, structured=True)
+    gen_symplpn(twin, n, n, p, structured=True)
+    with pytest.raises(ValueError, match=f"p = {p}"):
+        drop_bit_transform(rng, inst, Branch.FLOODED)
+    with pytest.raises(ValueError, match=f"p = {p}"):
+        measure_drop_bit(rng, make_brute_oracle(), n, p, Branch.PLAIN, trials=2)
+    assert rng.bits(64) == twin.bits(64)
 
 
 # -- dual-mode transform ----------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from slpn.gf2 import BitMat, BitVec, _IntDual, is_isotropic, rank, solve, symp_inner
+from slpn.gf2 import BitMat, BitVec, _IntDual, _PackedDual, is_isotropic, rank, solve, symp_inner
 from slpn.sampling import (
     HyperplaneRotation,
     Instance,
@@ -22,7 +22,6 @@ from slpn.sampling import (
     sample_isotropic,
     sample_lsn_matrices,
 )
-from slpn.sampling import _isotropic_packed
 from slpn.supke import Seed, expand, invert
 
 
@@ -227,16 +226,18 @@ def test_sample_isotropic_matches_per_column_loop_below_n_columns(n, k):
 
 
 class _ScriptedDual:
-    """Stands in for the packed dual in the bulk-draw loop: keeps the
+    """Stands in for the packed dual in its bulk-draw ``grow``: keeps the
     coefficients each attempt is given and refuses the attempts listed."""
 
     def __init__(self, n: int, refuse: set[int]):
         self.n, self.nbytes = n, 2 * n // 8 + 1
         self.refuse, self.seen = refuse, []
 
-    def extend_bits(self, cols: np.ndarray, out: np.ndarray) -> bool:
+    def _combine_into(self, cols: np.ndarray, out: np.ndarray) -> None:
         # cols lists coefficient bit d-1 first
         self.seen.append(int("0" + "".join(map(str, cols)), 2))
+
+    def _restrict_bits(self, bits: np.ndarray) -> bool:
         return len(self.seen) - 1 not in self.refuse
 
 
@@ -247,7 +248,8 @@ def test_bulk_draw_gives_each_attempt_its_per_column_bits(refuse):
     # real draws almost never land in the span that early
     n = 72
     dual = _ScriptedDual(n, refuse)
-    _isotropic_packed(rng := Rng(9), dual, n)
+    rng = Rng(9)
+    _PackedDual.grow(dual, n, rng.bits)
     ref, want, kept = Rng(9), [], 0
     while kept < n:
         attempt = len(want)
