@@ -13,7 +13,15 @@ from typing import Optional
 
 import numpy as np
 
-from .gf2 import BitMat, BitVec, EchelonSet, pack_rows, pair_weight_int, solve_full_rank_batch
+from .gf2 import (
+    BitMat,
+    BitVec,
+    EchelonSet,
+    pack_rows,
+    pair_weight_int,
+    solve_full_rank_batch,
+    xor_rows,
+)
 from .sampling import Decision, Instance, InstanceKind, Oracle, Rng
 
 __all__ = [
@@ -214,28 +222,31 @@ def pair_aware_isd(
     npairs = (k + 1) // 2
     word = instance.word.value
     aug = [r << 1 | (word >> i) & 1 for i, r in enumerate(instance.matrix.rows)]
+    cols = instance.matrix.transpose().rows
     start = time.perf_counter()
     gen = rng.numpy()
     for it in range(1, max_iters + 1):
-        pairs = [int(j) for j in gen.permutation(n)[:npairs]]
-        picks = pairs + [j + n for j in pairs]
+        pairs = gen.permutation(n)[:npairs].tolist()
         basis = EchelonSet(augmented=True)
-        for i in picks:
-            basis.add(aug[i])
+        add = basis.add
+        picked = 0
+        for j in pairs:
+            add(aug[j])
+            picked |= 1 << j
+        for j in pairs:
+            add(aug[j + n])
+        picked |= picked << n  # both rows of every picked pair
         if len(basis) < k:
-            chosen = set(picks)
-            for i in gen.permutation(2 * n):
-                i = int(i)
-                if i in chosen:
+            for i in gen.permutation(2 * n).tolist():
+                if picked >> i & 1:
                     continue
-                if basis.add(aug[i]) and len(basis) == k:
+                if add(aug[i]) and len(basis) == k:
                     break
             if len(basis) < k:
                 continue  # the whole matrix is rank deficient
         x_val = basis.solve()
-        e = word ^ instance.matrix.matvec(BitVec(k, x_val)).value
-        picked = sum(1 << j for j in pairs)
-        if e & (picked | picked << n):
+        e = word ^ xor_rows(cols, x_val)
+        if e & picked:
             continue  # inconsistent: the zero-error hypothesis failed
         if _error_weight(instance.kind, e, 2 * n) <= weight_threshold:
             return _finish(instance, x_val, start, it)

@@ -245,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand. Bad input (a malformed JSON file, a value out of
-    range) is reported as ``slpn <command>: <message>`` on stderr, exit 2."""
+    """Run one subcommand. Bad input (a missing or malformed file, a value out
+    of range) is reported as ``slpn <command>: <message>`` on stderr, exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"slpn {args.command}: {exc}", file=sys.stderr)
         return 2
 

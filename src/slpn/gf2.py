@@ -55,7 +55,9 @@ packed. Below it numpy's fixed cost per call outweighs the saving, so the
 int layout stays for the small sizes the reductions and the exact-law
 checks run at.
 
-Every int-row Gaussian elimination here is one ``EchelonSet``. The canonical
+Every int-row Gaussian elimination here is one ``EchelonSet``. It keeps its
+rows in a list indexed by leading bit, so reducing a vector costs one list
+index per step and reading the rows in lead order needs no sort. The canonical
 forms (``solve``, the kernel bases, ``column_space_basis``) take pivots at
 the lowest column index, so they run it on bit-reversed rows. The reversal
 slows ``kernel_basis`` at small sizes, where no hot path calls it. The
@@ -661,33 +663,49 @@ def xor_rows(rows: Sequence[int], sel: int) -> int:
 
 
 class EchelonSet:
-    """Growing span of int rows in echelon form: ``rows`` maps a leading bit,
-    as ``bit_length()``, to the one row leading there, and ``add`` reduces a
-    vector only by the rows its leading bit hits.
+    """Growing span of int rows in echelon form: ``rows[lead]`` is the one
+    row whose ``bit_length()`` is lead, or None, and ``add`` reduces a vector
+    only by the rows its leading bit hits.
+
+    ``rows`` is a list indexed by lead, so a step is one list index rather
+    than a dict lookup, and ``reduced`` and ``solve`` walk it in lead order
+    with no sort. It starts with ``_SLOTS`` entries and grows only when a
+    lead falls past its end, which ``add`` learns from an ``IndexError``
+    rather than a length check on every step.
 
     An ``augmented`` set holds equations m . x = b, each as (m << 1) | b.
     Membership and rank then look at m alone (a vector is reduced while it
     is above 1), b rides along, and ``solve`` reads off an x meeting them all.
     """
 
-    __slots__ = ("rows", "_floor")
+    __slots__ = ("rows", "_floor", "_len")
+
+    # Leads 0..9 hold an augmented 8-bit system without growing, the widest
+    # the n = 4 reductions build. README's "Speed of information-set
+    # decoding" has the measurement.
+    _SLOTS = 10
 
     def __init__(self, augmented: bool = False):
-        self.rows: dict[int, int] = {}
+        self.rows: list[Optional[int]] = [None] * self._SLOTS
         self._floor = int(augmented)
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._len
 
     def add(self, v: int) -> bool:
         """Insert v; False (and no change) when v is already in the span."""
-        rows = self.rows
-        get, floor = rows.get, self._floor
+        rows, floor = self.rows, self._floor
         while v > floor:
             lead = v.bit_length()
-            r = get(lead)
+            try:
+                r = rows[lead]
+            except IndexError:
+                rows += [None] * (lead + 1 - len(rows))
+                r = None
             if r is None:
                 rows[lead] = v
+                self._len += 1
                 return True
             v ^= r
         return False
@@ -695,10 +713,11 @@ class EchelonSet:
     def reduced(self) -> list[int]:
         """The reduced echelon form of the span, highest lead first: each
         row's leading bit is clear in every other row. Canonical for the span."""
-        out: dict[int, int] = {}
+        out = list(self.rows)
         below = 0  # the leading bits of the rows reduced so far
-        for lead in sorted(self.rows):
-            v = self.rows[lead]
+        for lead, v in enumerate(out):
+            if v is None:
+                continue
             hits = v & below
             while hits:
                 # out[h] has no other leading bit set, so hits stays exact
@@ -707,7 +726,7 @@ class EchelonSet:
                 hits ^= 1 << (h - 1)
             out[lead] = v
             below |= 1 << (lead - 1)
-        return [out[lead] for lead in reversed(out)]
+        return [v for v in reversed(out) if v is not None]
 
     def solve(self) -> int:
         """For an augmented set: the x meeting every equation added, with
@@ -715,9 +734,9 @@ class EchelonSet:
         if not self._floor:
             raise ValueError("solve needs an augmented set")
         x = 0
-        for lead in sorted(self.rows):  # lowest leading column first
-            r = self.rows[lead]
-            x |= ((((r >> 1) & x).bit_count() ^ r) & 1) << (lead - 2)
+        for lead, r in enumerate(self.rows):  # lowest leading column first
+            if r is not None:
+                x |= ((((r >> 1) & x).bit_count() ^ r) & 1) << (lead - 2)
         return x
 
 

@@ -63,6 +63,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes = {successes} is outside 0..{trials}")
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -110,9 +112,13 @@ def empirical_tv(samples_a, samples_b) -> float:
 
 def chi_square_stat(counts: Sequence[float], expected: Optional[Sequence[float]] = None) -> float:
     """Plain chi-square statistic against expected counts (uniform by default)."""
+    if len(counts) == 0:
+        raise ValueError("counts are empty")
     n = sum(counts)
     if expected is None:
         expected = [n / len(counts)] * len(counts)
+    if len(expected) != len(counts):
+        raise ValueError(f"{len(counts)} counts against {len(expected)} expected counts")
     if any(e <= 0 for e in expected):
         raise ValueError("expected counts must be positive")
     return sum((o - e) ** 2 / e for o, e in zip(counts, expected))

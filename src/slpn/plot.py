@@ -18,7 +18,13 @@ def render_line_chart(
     out_path: str,
     series: Optional[str] = None,
 ) -> str:
-    """Write a plain SVG with one polyline per y column (and per series value)."""
+    """Write a plain SVG with one polyline per y column (and per series value).
+    A column named in x, ys or series that a row lacks raises ValueError."""
+    wanted = [x, *ys, *([series] if series else [])]
+    for row in rows:
+        missing = [c for c in wanted if c not in row]
+        if missing:
+            raise ValueError(f"no column {missing[0]!r} among {', '.join(row)}")
     groups: dict[str, list[dict]] = {}
     for row in rows:
         key = str(row[series]) if series else ""

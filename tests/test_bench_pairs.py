@@ -1,0 +1,67 @@
+"""tools/bench_pairs.py on two fake checkouts whose perfbench prints synthetic runs."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+# A stand-in for perfbench/run.py: prints the metrics values.json holds for
+# its --seed, and logs which checkout ran which seed.
+FAKE_RUN = """\
+import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent.parent
+seed = sys.argv[sys.argv.index("--seed") + 1]
+values = json.loads((here / "values.json").read_text())[seed]
+with open(here.parent / "order.log", "a") as fh:
+    fh.write(f"{here.name} {seed}\\n")
+metrics = {k: {"value": v, "unit": "x"} for k, v in values.items()}
+print(json.dumps({"correct": True, "attempted": 10, "failed": int(here.name == "change"),
+                  "metrics": metrics}))
+"""
+
+
+def _checkout(root: Path, name: str, per_seed: list[dict]) -> Path:
+    d = root / name
+    (d / "perfbench").mkdir(parents=True)
+    (d / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (d / "values.json").write_text(json.dumps({str(5 + i): m for i, m in enumerate(per_seed)}))
+    return d
+
+
+def test_bench_pairs_alternates_and_judges_each_metric(tmp_path):
+    pairs = 10
+    parent, change = [], []
+    for i in range(pairs):
+        parent.append({"secondary_ref_ms_p50": 1.0 + i / 100, "primary_ref_ms_p50": 0.5,
+                       "primary_ref_ms_p75": 0.6, "throughput_per_ref_s": 100.0 + 10 * i,
+                       "setup_s": 0.2})
+        change.append({"secondary_ref_ms_p50": 0.8 + i / 100,
+                       # wins 8 of 10 pairs: not enough to claim
+                       "primary_ref_ms_p50": 0.4 if i < 8 else 0.6,
+                       # higher in every pair, but by less than the parent's spread
+                       "throughput_per_ref_s": 101.0 + 10 * i,
+                       # wins 9 of 10 pairs by far more than the spread: enough
+                       "setup_s": 0.1 if i else 0.2})
+    a, b = _checkout(tmp_path, "parent", parent), _checkout(tmp_path, "change", change)
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(a), str(b), "--workload", "isd", "--pairs", str(pairs),
+         "--seconds", "1", "--seed-base", "5"],
+        capture_output=True, text=True, check=True,
+    )
+    order = (tmp_path / "order.log").read_text().split("\n")[:4]
+    assert order == ["parent 5", "change 5", "change 6", "parent 6"]
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert lines[0] == ["metric", "better", "parent_p50", "parent_iqr", "change_p50",
+                        "change_iqr", "wins", "holds"]
+    by_metric = {r[0]: r[1:] for r in lines[1:6]}
+    assert by_metric["secondary_ref_ms_p50"] == [
+        "lower", "1.045", "1.0225-1.0675", "0.845", "0.8225-0.8675", "10/10", "yes"]
+    assert by_metric["primary_ref_ms_p50"][-2:] == ["8/10", "no"]
+    assert by_metric["throughput_per_ref_s"][-2:] == ["10/10", "no"]
+    assert by_metric["setup_s"][-2:] == ["9/10", "yes"]
+    # a metric one side does not report prints dashes
+    assert by_metric["primary_ref_ms_p75"] == ["lower"] + ["-"] * 6
+    assert lines[6:] == [["parent:", "failed", "0", "of", "100", "operations"],
+                         ["change:", "failed", "10", "of", "100", "operations"]]

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -63,9 +64,19 @@ def test_keygen_auto_p(tmp_path):
          "slpn reduce: flood count m = 100 is outside 1..3 at n = 4"),
         (["reduce", "drop-bit", "--n", "4", "--p", "0.75", "--trials", "2"],
          "slpn reduce: the drop-bit reduction needs p < 3/4, got p = 0.75"),
+        (["encrypt", "--pk", "missing.json", "--bit", "1"],
+         "slpn encrypt: [Errno 2] No such file or directory: 'missing.json'"),
+        (["attack", "prange", "--in", "missing.json"],
+         "slpn attack: [Errno 2] No such file or directory: 'missing.json'"),
+        (["experiment", "--spec", "missing.json"],
+         "slpn experiment: [Errno 2] No such file or directory: 'missing.json'"),
+        (["plot", "--csv", "missing.csv", "--x", "p", "--y", "measured", "--out", "o.svg"],
+         "slpn plot: [Errno 2] No such file or directory: 'missing.csv'"),
     ],
     ids=["decrypt-list-file", "keygen-p-2", "owf-gen-p-7", "reduce-lsn-k-0",
-         "reduce-drop-bit-trials-1", "reduce-drop-bit-m-100", "reduce-drop-bit-p-0.75"],
+         "reduce-drop-bit-trials-1", "reduce-drop-bit-m-100", "reduce-drop-bit-p-0.75",
+         "encrypt-missing-pk", "attack-missing-instance", "experiment-missing-spec",
+         "plot-missing-csv"],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -75,6 +86,52 @@ def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     assert captured.out == ""
     assert captured.err.strip() == message
     assert [f.name for f in tmp_path.iterdir()] == ["f.json"]
+
+
+@pytest.mark.parametrize(
+    "x, y, missing",
+    [("p", "measured,nope", "nope"), ("q", "measured", "q")],
+    ids=["unknown-y", "unknown-x"],
+)
+def test_plot_unknown_column_exits_2(tmp_path, monkeypatch, capsys, x, y, missing):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text("p,measured\n0.1,0.9\n0.2,0.8\n")
+    assert run(["plot", "--csv", "c.csv", "--x", x, "--y", y, "--out", "o.svg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"slpn plot: no column {missing!r} among p, measured"
+    assert not (tmp_path / "o.svg").exists()
+
+
+def _polylines(path) -> list:
+    root = ElementTree.parse(path).getroot()
+    return root.findall("{http://www.w3.org/2000/svg}polyline")
+
+
+def test_experiment_svg_and_plot_draw_one_line_per_column_and_series(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "decryption_curve",
+        "grid": [{"n": 8, "p": 0.02}, {"n": 8, "p": 0.1}, {"n": 12, "p": 0.02}, {"n": 12, "p": 0.1}],
+        "trials": 10,
+        "seed": 3,
+        "out": str(tmp_path / "curve.csv"),
+        "options": {"svg": True},
+    }))
+    assert run(["experiment", "--spec", str(spec)]) == 0
+    # the experiment draws predicted and measured against p, as one series
+    lines = _polylines(tmp_path / "curve.csv.svg")
+    assert len(lines) == 2
+    assert all(len(line.get("points").split()) == 4 for line in lines)
+    out = tmp_path / "by_n.svg"
+    assert run(["plot", "--csv", str(tmp_path / "curve.csv"), "--x", "p",
+                "--y", "predicted,measured", "--series", "n", "--out", str(out)]) == 0
+    # one line per y column and value of n, each through that n's two points
+    lines = _polylines(out)
+    assert len(lines) == 4
+    assert all(len(line.get("points").split()) == 2 for line in lines)
+    labels = [t.text for t in ElementTree.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert {"12 predicted", "12 measured", "8 predicted", "8 measured"} <= set(labels)
 
 
 def test_su_roundtrip(tmp_path, capsys):

@@ -16,6 +16,7 @@ from slpn.harness import (
     run_experiment,
     wilson_interval,
 )
+from slpn.pke import gen
 from slpn.reductions import Branch, measure_drop_bit
 from slpn.sampling import Rng, gen_symplpn
 
@@ -28,6 +29,14 @@ def test_wilson_interval_basics():
     assert lo0 == 0.0 and hi0 > 0.0
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+
+
+@pytest.mark.parametrize("successes", [5, -1])
+def test_wilson_interval_rejects_successes_outside_trials(successes):
+    with pytest.raises(ValueError, match=f"successes = {successes} is outside 0..3"):
+        wilson_interval(successes, 3)
+    with pytest.raises(ValueError, match=f"successes = {successes} is outside 0..3"):
+        advantage_interval(successes, 3, 1, 3)
 
 
 def test_stat_summary_invariant():
@@ -59,6 +68,13 @@ def test_chi_square_stat():
     assert chi_square_stat([20, 0], [10, 10]) == 20.0
     with pytest.raises(ValueError):
         chi_square_stat([1, 2], [0, 3])
+
+
+def test_chi_square_stat_rejects_empty_and_mismatched_counts():
+    with pytest.raises(ValueError, match="counts are empty"):
+        chi_square_stat([])
+    with pytest.raises(ValueError, match="2 counts against 1 expected counts"):
+        chi_square_stat([1, 2], [1])
 
 
 def test_advantage_coin_oracle_near_zero():
@@ -203,6 +219,30 @@ def test_experiment_svg_rendering(tmp_path):
     svg = (tmp_path / "c.csv.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
     assert "measured" in svg and "predicted" in svg
+
+
+def test_encs_per_key_sets_the_keypair_count(tmp_path, monkeypatch):
+    import slpn.harness
+
+    calls = []
+
+    def counting_gen(*args):
+        calls.append(args[1:])
+        return gen(*args)
+
+    monkeypatch.setattr(slpn.harness, "gen", counting_gen)
+    spec = ExperimentSpec(
+        name="decryption_curve",
+        grid=({"n": 16, "p": 0.02},),
+        trials=25,
+        seed=12,
+        out=str(tmp_path / "keys.csv"),
+        options={"encs_per_key": 10},
+    )
+    rows, _ = run_experiment(spec)
+    # 10 + 10 + 5 encryptions: the last keypair serves only the trials left
+    assert calls == [(16, 0.02)] * 3
+    assert rows[0]["trials"] == 25
 
 
 def test_decryption_curve_reproducible(tmp_path):
