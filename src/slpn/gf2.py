@@ -57,11 +57,11 @@ checks run at.
 
 Every int-row Gaussian elimination here is one ``EchelonSet``. It keeps its
 rows in a list indexed by leading bit, so reducing a vector costs one list
-index per step and reading the rows in lead order needs no sort. The canonical
-forms (``solve``, the kernel bases, ``column_space_basis``) take pivots at
-the lowest column index, so they run it on bit-reversed rows. The reversal
-slows ``kernel_basis`` at small sizes, where no hot path calls it. The
-radical of a span is the span of the vectors that the symplectic split
+index per step and reading the rows in lead order needs no sort. The
+canonical forms (``solve``, the kernel bases, ``column_space_basis``) take
+pivots at the lowest column index, so they run it on bit-reversed rows. The
+reversal slows ``kernel_basis`` at small sizes, where no hot path calls it.
+The radical of a span is the span of the vectors that the symplectic split
 (``symplectic_subspace_basis``) leaves unpaired.
 
 Information-set decoding solves the same system [M | b] on many row subsets.
@@ -663,15 +663,13 @@ def xor_rows(rows: Sequence[int], sel: int) -> int:
 
 
 class EchelonSet:
-    """Growing span of int rows in echelon form: ``rows[lead]`` is the one
-    row whose ``bit_length()`` is lead, or None, and ``add`` reduces a vector
-    only by the rows its leading bit hits.
-
-    ``rows`` is a list indexed by lead, so a step is one list index rather
-    than a dict lookup, and ``reduced`` and ``solve`` walk it in lead order
-    with no sort. It starts with ``_SLOTS`` entries and grows only when a
-    lead falls past its end, which ``add`` learns from an ``IndexError``
-    rather than a length check on every step.
+    """Growing span of int rows in echelon form: the list ``rows`` holds at
+    index lead the one row whose ``bit_length()`` is lead, or None. ``add``
+    reduces a vector only by the rows its leading bit hits, one list index a
+    step, and ``reduced`` and ``solve`` walk the list in lead order with no
+    sort. The list starts with ``_SLOTS`` entries and grows only when a lead
+    falls past its end, which ``add`` learns from an ``IndexError`` rather
+    than from a length check on every step.
 
     An ``augmented`` set holds equations m . x = b, each as (m << 1) | b.
     Membership and rank then look at m alone (a vector is reduced while it
