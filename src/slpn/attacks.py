@@ -11,15 +11,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .gf2 import (
     BitMat,
     BitVec,
     EchelonSet,
-    pack_rows,
     pair_weight_int,
-    solve_full_rank_batch,
     xor_rows,
 )
 from .sampling import Decision, Instance, InstanceKind, Oracle, Rng
@@ -130,22 +126,60 @@ def witness_oracle(instance: Instance) -> Decision:
     return Decision.STRUCTURED if instance.witness.structured else Decision.UNSTRUCTURED
 
 
-# Prange iterations drawn and solved per call of the batched solver. A larger
-# batch spreads numpy's fixed cost per column over more systems but solves
-# more systems past the winning iteration; the measurement is in README's
-# "Speed of information-set decoding".
-ISD_BATCH = 32
-
-
 def _default_isd_threshold(instance: Instance) -> int:
     return math.ceil(2.5 * _expected_error_weight(instance))
 
 
-def _finish(instance, x_val, start, iters):
-    k = instance.matrix.ncols
-    x = BitVec(k, x_val)
-    e = instance.word ^ instance.matrix.matvec(x)
-    return AttackResult(True, x, e, iters, time.perf_counter() - start)
+def _base_form(instance: Instance) -> Optional[tuple[list[int], list[int], list[int], list[int]]]:
+    """The code in reduced column echelon form, S = M T with T invertible,
+    or None when M has rank below k.
+
+    Returns the columns of S and of T, the augmented rows s_i << 1 | word_i
+    of [S | word], and for each row the unit vector e_c when it is the lead
+    row of column c (its highest bit, set in no other column; the row of S
+    there is e_c), else 0. M x = word on a row set exactly when S y = word
+    there for y = T^-1 x, and the lead rows form one information set."""
+    m = instance.matrix
+    k = m.ncols
+    span = EchelonSet()
+    for j, col in enumerate(m.transpose().rows):
+        span.add(col << k | 1 << j)  # the tag tracks the column operations
+    red = span.reduced()
+    if red and not red[-1] >> k:
+        return None  # a combination of columns vanished
+    scols = [v >> k for v in red]
+    tcols = [v & ((1 << k) - 1) for v in red]
+    word = instance.word.value
+    rows = BitMat(len(scols), m.nrows, scols).transpose().rows
+    aug = [r << 1 | (word >> i) & 1 for i, r in enumerate(rows)]
+    unit = [0] * m.nrows
+    for c, s in enumerate(scols):
+        unit[s.bit_length() - 1] = 1 << c
+    return scols, tcols, aug, unit
+
+
+def _fix_leads(picks: list[int], aug: list[int], unit: list[int], k: int):
+    """Split picked rows of the base form: each lead row fixes its coordinate
+    of y to its word bit, and the other rows come back as they are. Also
+    returns the masks (keep, fixed) that substitute the fixed coordinates
+    into such a row a: (a & keep) ^ parity(a & fixed)."""
+    known = y = 0
+    rest = []
+    for i in picks:
+        u = unit[i]
+        if u:
+            known |= u
+            if aug[i] & 1:
+                y |= u
+        else:
+            rest.append(aug[i])
+    return y, rest, (((1 << k) - 1) ^ known) << 1 | 1, y << 1
+
+
+def _success(instance, tcols, y, e, start, iters):
+    """The result for the solution y of the base form: x = T y."""
+    x = BitVec(instance.matrix.ncols, xor_rows(tcols, y))
+    return AttackResult(True, x, BitVec(instance.matrix.nrows, e), iters, time.perf_counter() - start)
 
 
 def prange_isd(
@@ -157,10 +191,13 @@ def prange_isd(
     """Classic information-set decoding: guess an error-free row subset of
     size k, invert, accept when the residual weight is plausible.
 
-    Singular information sets are discarded, not repaired. Iterations are
-    drawn ``ISD_BATCH`` at a time and solved in one call; on success the
-    stream is rewound to just after the winning iteration's draw, so the
-    result and the Rng state are those of a one-at-a-time loop.
+    Singular information sets are discarded, not repaired. The code is
+    brought to the base form of ``_base_form`` once. A picked lead row then
+    fixes its coordinate of y outright, and only the other picked rows, with
+    the fixed coordinates substituted, go through an augmented
+    ``EchelonSet``; the set is singular at the first row it refuses. Each
+    iteration draws one permutation, also when M is rank deficient and no
+    set can win.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters = {max_iters} is negative")
@@ -170,24 +207,25 @@ def prange_isd(
     k = instance.matrix.ncols
     word = instance.word.value
     start = time.perf_counter()
-    rows = [r | ((word >> i) & 1) << k for i, r in enumerate(instance.matrix.rows)]
-    aug = pack_rows(rows, k + 1)
     gen = rng.numpy()
-    done = 0
-    while done < max_iters:
-        size = min(ISD_BATCH, max_iters - done)
-        state = gen.bit_generator.state
-        picks = np.stack([gen.permutation(nrows)[:k] for _ in range(size)])
-        for j, x_val in enumerate(solve_full_rank_batch(aug, picks, k)):
-            if x_val is None:
-                continue
-            e = word ^ instance.matrix.matvec(BitVec(k, x_val)).value
+    base = _base_form(instance)
+    if base is None:
+        for _ in range(max_iters):
+            gen.permutation(nrows)
+        return AttackResult(False, None, None, max_iters, time.perf_counter() - start)
+    scols, tcols, aug, unit = base
+    for it in range(1, max_iters + 1):
+        y, rest, keep, fixed = _fix_leads(gen.permutation(nrows)[:k].tolist(), aug, unit, k)
+        basis = EchelonSet(augmented=True)
+        add = basis.add
+        for a in rest:
+            if not add((a & keep) ^ ((a & fixed).bit_count() & 1)):
+                break
+        else:
+            y |= basis.solve()
+            e = word ^ xor_rows(scols, y)
             if _error_weight(instance.kind, e, nrows) <= weight_threshold:
-                gen.bit_generator.state = state
-                for _ in range(j + 1):
-                    gen.permutation(nrows)
-                return _finish(instance, x_val, start, done + j + 1)
-        done += size
+                return _success(instance, tcols, y, e, start, it)
     return AttackResult(False, None, None, max_iters, time.perf_counter() - start)
 
 
@@ -206,10 +244,15 @@ def pair_aware_isd(
     deficient draw is topped up with individual rows that still extend the
     rank, all under the same zero-error hypothesis.
 
-    The echelon set that checks the rank carries each row's word bit, so
-    once it reaches rank k it yields the solution directly; the picked rows
-    agree with it exactly when its error vanishes on them. (The top-up rows
-    sit in the echelon set and always agree.)
+    It works on the base form of ``_base_form``, as ``prange_isd`` does:
+    picked lead rows fix their coordinates of y, and the other picked rows
+    and the top-up rows enter an augmented ``EchelonSet`` with those
+    coordinates substituted. Every fixed unit vector already lies in the
+    span, so a top-up row extends it exactly when its remaining part extends
+    the set. At full rank the set yields the rest of y; the picked rows agree
+    with the solution exactly when its error vanishes on them. (The top-up
+    rows sit in the echelon set and always agree.) When M is rank deficient,
+    each iteration still draws its pair and top-up permutations.
     """
     if instance.matrix.nrows % 2:
         raise ValueError("pair-aware decoding needs 2n rows")
@@ -221,35 +264,42 @@ def pair_aware_isd(
     k = instance.matrix.ncols
     npairs = (k + 1) // 2
     word = instance.word.value
-    aug = [r << 1 | (word >> i) & 1 for i, r in enumerate(instance.matrix.rows)]
-    cols = instance.matrix.transpose().rows
     start = time.perf_counter()
     gen = rng.numpy()
+    base = _base_form(instance)
+    if base is None:
+        for _ in range(max_iters):
+            gen.permutation(n)
+            gen.permutation(2 * n)
+        return AttackResult(False, None, None, max_iters, time.perf_counter() - start)
+    scols, tcols, aug, unit = base
     for it in range(1, max_iters + 1):
         pairs = gen.permutation(n)[:npairs].tolist()
-        basis = EchelonSet(augmented=True)
-        add = basis.add
         picked = 0
         for j in pairs:
-            add(aug[j])
             picked |= 1 << j
-        for j in pairs:
-            add(aug[j + n])
         picked |= picked << n  # both rows of every picked pair
-        if len(basis) < k:
+        y, rest, keep, fixed = _fix_leads(pairs + [j + n for j in pairs], aug, unit, k)
+        need = (keep >> 1).bit_count()  # the coordinates no lead row fixed
+        basis = EchelonSet(augmented=True)
+        add = basis.add
+        for a in rest:
+            add((a & keep) ^ ((a & fixed).bit_count() & 1))
+        if len(basis) < need:
             for i in gen.permutation(2 * n).tolist():
                 if picked >> i & 1:
                     continue
-                if add(aug[i]) and len(basis) == k:
+                a = aug[i]
+                if add((a & keep) ^ ((a & fixed).bit_count() & 1)) and len(basis) == need:
                     break
-            if len(basis) < k:
-                continue  # the whole matrix is rank deficient
-        x_val = basis.solve()
-        e = word ^ xor_rows(cols, x_val)
+            if len(basis) < need:
+                continue
+        y |= basis.solve()
+        e = word ^ xor_rows(scols, y)
         if e & picked:
             continue  # inconsistent: the zero-error hypothesis failed
         if _error_weight(instance.kind, e, 2 * n) <= weight_threshold:
-            return _finish(instance, x_val, start, it)
+            return _success(instance, tcols, y, e, start, it)
     return AttackResult(False, None, None, max_iters, time.perf_counter() - start)
 
 

@@ -64,21 +64,14 @@ reversal slows ``kernel_basis`` at small sizes, where no hot path calls it.
 The radical of a span is the span of the vectors that the symplectic split
 (``symplectic_subspace_basis``) leaves unpaired.
 
-Information-set decoding solves the same system [M | b] on many row subsets.
-``solve_full_rank_batch`` takes the rows of [M | b] packed once into uint64
-words and a (systems, m) array of row indices, and runs Gauss-Jordan on all
-systems together, so the Python-level work is a dozen numpy operations per
-column rather than a loop over rows per system. A subset counts only at full
-column rank, where its solution is unique, so no pivot order can change the
-result. ``attacks.prange_isd`` draws its information sets in the same order
-as a one-at-a-time loop, takes the first success in that order, and rewinds
-the Rng to just after the winner's draw, so results, iteration counts and
-the stream are unchanged. It solves 32 sets per call: smaller calls pay
-numpy's fixed cost per column more often, and larger ones solve more sets
-past the winning iteration. One set alone costs more this way than an
-augmented ``EchelonSet``, so ``attacks.pair_aware_isd``, whose rank check
-must finish before its next draw, solves through the set it already builds for
-the rank check, which carries the right-hand side along.
+Information-set decoding solves the system [M | b] on many row subsets.
+``attacks`` first brings M to reduced column echelon form with one
+``EchelonSet`` pass over its columns, each tagged with its own unit vector so
+that the tags record the column operations. Each column of the result then
+has a lead row that no other column has, and a picked lead row fixes one
+unknown outright. Only the other picked rows go through an augmented
+``EchelonSet``, which carries the right-hand side along, so an iteration
+eliminates about half of its rows.
 """
 from __future__ import annotations
 
@@ -95,8 +88,6 @@ __all__ = [
     "kernel_basis",
     "kernel_basis_info",
     "column_space_basis",
-    "pack_rows",
-    "solve_full_rank_batch",
     "xor_rows",
     "EchelonSet",
     "incremental_dual",
@@ -565,54 +556,6 @@ def solve(m: BitMat, b: BitVec) -> Optional[BitVec]:
     x = BitVec(m.ncols, _reverse(span.solve(), m.ncols))
     # the set drops an equation that reduces to 0 = 1, so check them all
     return x if m.matvec(x) == b else None
-
-
-def pack_rows(rows: Sequence[int], nbits: int) -> np.ndarray:
-    """Int rows of at most nbits bits as a (rows, words) uint64 array,
-    bit i of a row at word i // 64, position i mod 64."""
-    nbytes = 8 * ((nbits + 63) // 64)
-    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), nbytes // 8).astype(np.uint64)
-
-
-def solve_full_rank_batch(rows: np.ndarray, picks: np.ndarray, ncols: int) -> list[Optional[int]]:
-    """Solve many row subsets of one augmented system [M | b] at once.
-
-    ``rows`` is ``pack_rows`` of the rows of [M | b]: bits below ncols hold
-    M, bit ncols holds b. Row i of the (systems, m) index array ``picks``
-    selects the rows of system i. Entry i of the result is the packed x with
-    M x = b on those rows if they have full column rank and agree, else None.
-    Full column rank makes x unique, so the pivot order cannot change it.
-
-    Gauss-Jordan runs on all systems together: per column, one argmax picks
-    each system's pivot among its rows not yet used as pivots, and one masked
-    XOR clears the column from every other row. An all-zero row never
-    becomes a pivot and always agrees, so it pads short subsets.
-    """
-    nsys, m = picks.shape
-    if m < ncols:
-        return [None] * nsys
-    # word-major and flat, (words, systems * m) with row r of system i at
-    # column i * m + r: each column test and masked XOR runs over contiguous
-    # planes, and each pivot is one flat index
-    aug = np.ascontiguousarray(rows.T)[:, picks].reshape(rows.shape[1], nsys * m)
-    first_row = np.arange(nsys) * m
-    ok = np.ones(nsys, dtype=bool)
-    unused = np.ones(nsys * m, dtype=bool)
-    pivots = np.empty((ncols, nsys), dtype=np.intp)
-    for c in range(ncols):
-        hit = (aug[c >> 6] & np.uint64(1 << (c & 63))) != 0
-        cand = hit & unused
-        p = cand.reshape(nsys, m).argmax(axis=1) + first_row
-        ok &= cand[p]
-        unused[p] = False
-        pivots[c] = p
-        hit[p] = False
-        aug ^= aug[:, p].repeat(m, axis=1) & -hit.astype(np.uint64)
-    rhs = (aug[ncols >> 6] & np.uint64(1 << (ncols & 63))) != 0
-    ok &= ~(rhs & unused).reshape(nsys, m).any(axis=1)
-    x = np.packbits(rhs[pivots.T], axis=1, bitorder="little")
-    return [int.from_bytes(x[i].tobytes(), "little") if ok[i] else None for i in range(nsys)]
 
 
 def _kernel_ints(rows: Iterable[int], ncols: int) -> tuple[list[int], tuple[int, ...]]:

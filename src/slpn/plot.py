@@ -19,12 +19,16 @@ def render_line_chart(
     series: Optional[str] = None,
 ) -> str:
     """Write a plain SVG with one polyline per y column (and per series value).
-    A column named in x, ys or series that a row lacks raises ValueError."""
+    A column named in x, ys or series that a row lacks, or holds None for
+    (the cells past the end of a short CSV row), raises ValueError."""
     wanted = [x, *ys, *([series] if series else [])]
-    for row in rows:
+    for i, row in enumerate(rows, 1):
         missing = [c for c in wanted if c not in row]
         if missing:
             raise ValueError(f"no column {missing[0]!r} among {', '.join(row)}")
+        empty = [c for c in wanted if row[c] is None]
+        if empty:
+            raise ValueError(f"row {i} has no value in column {empty[0]!r}")
     groups: dict[str, list[dict]] = {}
     for row in rows:
         key = str(row[series]) if series else ""

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from naive_gf2 import naive_matvec, naive_rank
 from slpn.attacks import (
@@ -17,9 +18,10 @@ from slpn.attacks import (
     prange_isd,
     witness_oracle,
 )
-from slpn.gf2 import BitMat, BitVec, pair_weight_int
+from slpn.gf2 import BitMat, BitVec, pair_weight_int, rank, solve
 from slpn.reductions import Decision
 from slpn.sampling import (
+    Instance,
     InstanceKind,
     Rng,
     gen_lpn,
@@ -317,6 +319,109 @@ def test_isd_golden(algo, kind, n, p, seed, max_iters, threshold, success, itera
     assert (res.secret.to_hex() if res.secret else None) == secret
     assert (res.error.to_hex() if res.error else None) == error
     assert rng.bits(64).to_hex() == after
+
+
+
+# A plain reference of both decoders: the same draws, with each picked set
+# solved from scratch by `rank` and `solve`. It returns every AttackResult
+# field but the wall time.
+
+
+def _ref_sub(inst, rows):
+    """The rows ``rows`` of the system as (matrix, right-hand side)."""
+    m = inst.matrix
+    sub = BitMat(len(rows), m.ncols, [m.rows[i] for i in rows])
+    return sub, BitVec(len(rows), sum(inst.word.bit(i) << j for j, i in enumerate(rows)))
+
+
+def _ref_outcome(inst, x, threshold):
+    """The secret and error when x leaves an error no heavier than the threshold, else None."""
+    e = inst.word ^ inst.matrix.matvec(x)
+    if inst.kind is InstanceKind.LPN:
+        weight = e.weight()
+    else:
+        weight = pair_weight_int(e.value, inst.matrix.nrows // 2)
+    if threshold is None:
+        expected = inst.matrix.nrows * inst.p if inst.kind is InstanceKind.LPN else inst.n * inst.p
+        threshold = math.ceil(2.5 * expected)
+    return (x, e) if weight <= threshold else None
+
+
+def reference_prange(rng, inst, max_iters, threshold):
+    gen, nrows, k = rng.numpy(), inst.matrix.nrows, inst.matrix.ncols
+    for it in range(1, max_iters + 1):
+        sub, b = _ref_sub(inst, gen.permutation(nrows)[:k].tolist())
+        if rank(sub) < k:
+            continue
+        found = _ref_outcome(inst, solve(sub, b), threshold)
+        if found:
+            return (True, *found, it)
+    return (False, None, None, max_iters)
+
+
+def reference_pair_aware(rng, inst, max_iters, threshold):
+    gen, n, k = rng.numpy(), inst.matrix.nrows // 2, inst.matrix.ncols
+    for it in range(1, max_iters + 1):
+        pairs = gen.permutation(n)[: (k + 1) // 2].tolist()
+        picked = pairs + [j + n for j in pairs]
+        rows = list(picked)
+        if rank(_ref_sub(inst, rows)[0]) < k:
+            for i in gen.permutation(2 * n).tolist():
+                if i not in picked and rank(_ref_sub(inst, rows + [i])[0]) > rank(_ref_sub(inst, rows)[0]):
+                    rows.append(i)
+                    if rank(_ref_sub(inst, rows)[0]) == k:
+                        break
+            if rank(_ref_sub(inst, rows)[0]) < k:
+                continue
+        x = solve(*_ref_sub(inst, rows))
+        if x is None:
+            continue  # the picked rows disagree
+        found = _ref_outcome(inst, x, threshold)
+        if found:
+            return (True, *found, it)
+    return (False, None, None, max_iters)
+
+
+def _reference_instance(shape, n, k, p, seed):
+    rng = Rng(seed)
+    if shape == "lpn":
+        return gen_lpn(rng, k, 2 * n, p, structured=True)
+    if shape == "lpn_wide":  # 8 x 16: never full column rank
+        return gen_lpn(rng, 16, 8, p, structured=True)
+    if shape == "lpn_uniform":
+        return gen_lpn(rng, k, 2 * n, p, structured=False)
+    if shape == "symplpn":
+        return gen_symplpn(rng, k, n, p, structured=True)
+    if shape == "lsn":
+        return gen_lsn(rng, max(1, k // 2), n, p)
+    if shape == "no_columns":
+        return Instance(InstanceKind.LPN, BitMat.zeros(2 * n, 0), rng.bits(2 * n), 0, n, p)
+    # rank deficient: the last column repeats the first
+    inst = gen_symplpn(rng, max(2, k), n, p, structured=True)
+    cols = inst.matrix.transpose().rows
+    matrix = BitMat(len(cols), 2 * n, cols[:-1] + cols[:1]).transpose()
+    return Instance(inst.kind, matrix, inst.word, inst.k, n, p)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    algo=st.sampled_from(["prange", "pair"]),
+    shape=st.sampled_from(["lpn", "lpn_wide", "lpn_uniform", "symplpn", "lsn", "no_columns", "deficient"]),
+    n=st.integers(2, 32),
+    k_frac=st.floats(0.0, 1.0),
+    p=st.sampled_from([0.0, 0.02, 0.1, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+    max_iters=st.sampled_from([0, 1, 5, 40]),
+    threshold=st.sampled_from([None, -1, 0, 2, 5]),
+)
+def test_isd_matches_plain_reference(algo, shape, n, k_frac, p, seed, max_iters, threshold):
+    k = max(1, round(k_frac * n))
+    inst = _reference_instance(shape, n, k, p, seed)
+    attack, reference = (prange_isd, reference_prange) if algo == "prange" else (pair_aware_isd, reference_pair_aware)
+    rng, twin = Rng(seed ^ 0x5EED), Rng(seed ^ 0x5EED)
+    res = attack(rng, inst, max_iters, threshold)
+    assert (res.success, res.secret, res.error, res.iterations) == reference(twin, inst, max_iters, threshold)
+    assert rng.bits(64) == twin.bits(64)
 
 
 # -- code distance ----------------------------------------------------------------

@@ -54,14 +54,48 @@ def test_bench_pairs_alternates_and_judges_each_metric(tmp_path):
     assert order == ["parent 5", "change 5", "change 6", "parent 6"]
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert lines[0] == ["metric", "better", "parent_p50", "parent_iqr", "change_p50",
-                        "change_iqr", "wins", "holds"]
+                        "change_iqr", "wins", "holds", "regression"]
     by_metric = {r[0]: r[1:] for r in lines[1:6]}
     assert by_metric["secondary_ref_ms_p50"] == [
-        "lower", "1.045", "1.0225-1.0675", "0.845", "0.8225-0.8675", "10/10", "yes"]
-    assert by_metric["primary_ref_ms_p50"][-2:] == ["8/10", "no"]
-    assert by_metric["throughput_per_ref_s"][-2:] == ["10/10", "no"]
-    assert by_metric["setup_s"][-2:] == ["9/10", "yes"]
+        "lower", "1.045", "1.0225-1.0675", "0.845", "0.8225-0.8675", "10/10", "yes", "ok"]
+    assert by_metric["primary_ref_ms_p50"][-3:] == ["8/10", "no", "ok"]
+    # the parent's spread, 122.5-167.5 around 145, is wider than the 0.25
+    # bound, and the change's runs do not all beat the parent's
+    assert by_metric["throughput_per_ref_s"][-3:] == ["10/10", "no", "unresolved"]
+    assert by_metric["setup_s"][-3:] == ["9/10", "yes", "ok"]
     # a metric one side does not report prints dashes
-    assert by_metric["primary_ref_ms_p75"] == ["lower"] + ["-"] * 6
+    assert by_metric["primary_ref_ms_p75"] == ["lower"] + ["-"] * 7
     assert lines[6:] == [["parent:", "failed", "0", "of", "100", "operations"],
                          ["change:", "failed", "10", "of", "100", "operations"]]
+
+
+def test_bench_pairs_regression_verdicts_and_json(tmp_path):
+    # every bound in BENCHMARK.json is 0.25 of the parent's median
+    wide = [1.0, 2.0, 3.0, 4.0]  # quartiles 1.75, 2.5, 3.25: a spread of 0.6 medians
+    parent = [{"primary_ref_ms_p50": 1.0, "primary_ref_ms_p75": w, "secondary_ref_ms_p50": w,
+               "throughput_per_ref_s": 100.0, "setup_s": 0.2} for w in wide]
+    change = [{
+        "primary_ref_ms_p50": 1.3,  # 30% slower: worse
+        "primary_ref_ms_p75": 0.5 + i / 10,  # wide parent, but every change run wins: ok
+        "secondary_ref_ms_p50": w + (0.1 if i < 2 else -0.1),  # wide parent, mixed: unresolved
+        "throughput_per_ref_s": 70.0,  # 30% lower where higher is better: worse
+        "setup_s": 0.24,  # 20% slower, within the bound: ok
+    } for i, w in enumerate(wide)]
+    a, b = _checkout(tmp_path, "parent", parent), _checkout(tmp_path, "change", change)
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(a), str(b), "--workload", "isd", "--pairs", "4",
+         "--seconds", "1", "--seed-base", "5", "--out", str(out)],
+        capture_output=True, text=True, check=True,
+    )
+    expected = {"primary_ref_ms_p50": "worse", "primary_ref_ms_p75": "ok",
+                "secondary_ref_ms_p50": "unresolved", "throughput_per_ref_s": "worse",
+                "setup_s": "ok"}
+    table = {r.split()[0]: r.split()[-1] for r in proc.stdout.splitlines()[1:6]}
+    assert table == expected
+    saved = json.loads(out.read_text())
+    assert (saved["workload"], saved["seeds"]) == ("isd", [5, 6, 7, 8])
+    assert {k: m["regression"] for k, m in saved["metrics"].items()} == expected
+    assert saved["metrics"]["secondary_ref_ms_p50"]["parent"]["values"] == wide
+    assert [r["metrics"]["primary_ref_ms_p50"] for r in saved["runs"]["change"]] == [1.3] * 4
+    assert [(r["seed"], r["failed"]) for r in saved["runs"]["change"]] == [(s, 1) for s in range(5, 9)]

@@ -72,20 +72,23 @@ def test_keygen_auto_p(tmp_path):
          "slpn experiment: [Errno 2] No such file or directory: 'missing.json'"),
         (["plot", "--csv", "missing.csv", "--x", "p", "--y", "measured", "--out", "o.svg"],
          "slpn plot: [Errno 2] No such file or directory: 'missing.csv'"),
+        (["plot", "--csv", "short.csv", "--x", "p", "--y", "measured", "--out", "o.svg"],
+         "slpn plot: row 2 has no value in column 'measured'"),
     ],
     ids=["decrypt-list-file", "keygen-p-2", "owf-gen-p-7", "reduce-lsn-k-0",
          "reduce-drop-bit-trials-1", "reduce-drop-bit-m-100", "reduce-drop-bit-p-0.75",
          "encrypt-missing-pk", "attack-missing-instance", "experiment-missing-spec",
-         "plot-missing-csv"],
+         "plot-missing-csv", "plot-short-row"],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "f.json").write_text("[1]")
+    (tmp_path / "short.csv").write_text("p,measured\n0.1,0.9\n0.2\n")
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == message
-    assert [f.name for f in tmp_path.iterdir()] == ["f.json"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["f.json", "short.csv"]
 
 
 @pytest.mark.parametrize(

@@ -26,13 +26,11 @@ from slpn.gf2 import (
     is_isotropic,
     kernel_basis,
     kernel_basis_info,
-    pack_rows,
     pair_weight_int,
     permute_pairs,
     permute_rows_pairs,
     radical_basis,
     rank,
-    solve_full_rank_batch,
     solve,
     swap_halves,
     symp_dual_basis,
@@ -631,71 +629,6 @@ def test_augmented_echelon_set_solves():
     with pytest.raises(ValueError):
         EchelonSet().solve()
 
-
-def _batch_system(rng, k, kind):
-    """(a, b) of one random system of the given kind, as uint8 arrays."""
-    m = k if kind in ("square", "singular", "padded") else k + 5
-    a = rng.integers(0, 2, size=(m, k), dtype=np.uint8)
-    b = rng.integers(0, 2, size=m, dtype=np.uint8)
-    if kind == "singular":
-        a[:, -1] = a[:, 0] if k > 1 else 0  # a repeated or zero column
-    if kind == "tall_consistent":
-        b = naive_matvec(a, rng.integers(0, 2, size=k, dtype=np.uint8))
-    if kind == "tall_inconsistent":
-        b = naive_matvec(a, rng.integers(0, 2, size=k, dtype=np.uint8))
-        b[rng.integers(m)] ^= 1
-    if kind == "padded":
-        a = np.vstack([a, np.zeros((3, k), dtype=np.uint8)])
-        b = np.concatenate([b, np.zeros(3, dtype=np.uint8)])
-    return a, b
-
-
-def _expected_solution(a, b):
-    ref = naive_solve(a, b)
-    if ref is None or naive_rank(a) < a.shape[1]:
-        return None
-    return _ints(ref)
-
-
-def _solve_batch(systems, k):
-    """Stack the systems into one row pool, padded to one width with a
-    shared all-zero row, and solve them in one call."""
-    pool, picks = [], []
-    width = max(len(b) for _, b in systems)
-    zero = sum(len(b) for _, b in systems)
-    for a, b in systems:
-        idx = list(range(len(pool), len(pool) + len(b)))
-        pool += [_ints(row) | int(rhs) << k for row, rhs in zip(a, b)]
-        picks.append(idx + [zero] * (width - len(idx)))
-    rows = pack_rows(pool + [0], k + 1)
-    return solve_full_rank_batch(rows, np.array(picks, dtype=np.intp), k)
-
-
-KINDS = ("square", "singular", "tall_consistent", "tall_inconsistent", "padded")
-
-
-@pytest.mark.parametrize("k", [1, 63, 64, 65, 128])
-def test_solve_full_rank_batch_matches_naive(k):
-    # [a | b] is k + 1 bits wide: one word at k = 1 and 63, two at 64 and
-    # 65 (b alone in the second word at 64), three at 128
-    rng = np.random.default_rng(25 + k)
-    systems = [_batch_system(rng, k, kind) for _ in range(4) for kind in KINDS]
-    got = _solve_batch(systems, k)
-    want = [_expected_solution(a, b) for a, b in systems]
-    assert got == want
-    assert any(w is not None for w in want) and any(w is None for w in want)
-    # one system alone, and a batch where no system has full rank
-    for a, b in systems[:5]:
-        assert _solve_batch([(a, b)], k) == [_expected_solution(a, b)]
-    singular = [_batch_system(rng, k, "singular") for _ in range(3)]
-    assert _solve_batch(singular, k) == [None] * 3
-
-
-def test_solve_full_rank_batch_fewer_rows_than_columns():
-    rows = pack_rows([0b0111, 0b1010, 0b0001], 4)
-    assert solve_full_rank_batch(rows, np.array([[0, 1, 2]]), 4) == [None]
-    # x0 + x1 + x2 = 0, x1 = 1, x0 = 0
-    assert solve_full_rank_batch(rows, np.array([[0, 1, 2]]), 3) == [0b110]
 
 @pytest.mark.parametrize("n", [1, 2, 33, 63, 64, 88, 100, 130])
 def test_dual_layouts_agree(n):
