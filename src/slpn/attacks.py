@@ -291,9 +291,7 @@ def pair_aware_isd(
                     continue
                 a = aug[i]
                 if add((a & keep) ^ ((a & fixed).bit_count() & 1)) and len(basis) == need:
-                    break
-            if len(basis) < need:
-                continue
+                    break  # always reached: the rows of M span all k coordinates
         y |= basis.solve()
         e = word ^ xor_rows(scols, y)
         if e & picked:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from naive_gf2 import naive_matvec, naive_rank
 from slpn.attacks import (
@@ -414,6 +414,14 @@ def _reference_instance(shape, n, k, p, seed):
     max_iters=st.sampled_from([0, 1, 5, 40]),
     threshold=st.sampled_from([None, -1, 0, 2, 5]),
 )
+@example(algo="prange", shape="deficient", n=6, k_frac=1.0, p=0.0, seed=1, max_iters=5, threshold=None)
+@example(algo="pair", shape="deficient", n=6, k_frac=0.5, p=0.0, seed=2, max_iters=5, threshold=None)
+@example(algo="prange", shape="lpn_wide", n=4, k_frac=0.5, p=0.0, seed=3, max_iters=40, threshold=None)
+@example(algo="pair", shape="lpn_wide", n=4, k_frac=0.5, p=0.0, seed=4, max_iters=40, threshold=None)
+@example(algo="prange", shape="no_columns", n=5, k_frac=0.0, p=0.1, seed=5, max_iters=40, threshold=2)
+@example(algo="pair", shape="no_columns", n=5, k_frac=0.0, p=0.1, seed=6, max_iters=40, threshold=2)
+@example(algo="pair", shape="symplpn", n=16, k_frac=1.0, p=0.0, seed=7, max_iters=1, threshold=None)
+@example(algo="pair", shape="lsn", n=12, k_frac=0.5, p=0.25, seed=8, max_iters=40, threshold=-1)
 def test_isd_matches_plain_reference(algo, shape, n, k_frac, p, seed, max_iters, threshold):
     k = max(1, round(k_frac * n))
     inst = _reference_instance(shape, n, k, p, seed)
