@@ -361,17 +361,21 @@ def reference_prange(rng, inst, max_iters, threshold):
 
 def reference_pair_aware(rng, inst, max_iters, threshold):
     gen, n, k = rng.numpy(), inst.matrix.nrows // 2, inst.matrix.ncols
+
+    def rank_of(rows):
+        return rank(_ref_sub(inst, rows)[0])
+
     for it in range(1, max_iters + 1):
         pairs = gen.permutation(n)[: (k + 1) // 2].tolist()
         picked = pairs + [j + n for j in pairs]
         rows = list(picked)
-        if rank(_ref_sub(inst, rows)[0]) < k:
+        if rank_of(rows) < k:
             for i in gen.permutation(2 * n).tolist():
-                if i not in picked and rank(_ref_sub(inst, rows + [i])[0]) > rank(_ref_sub(inst, rows)[0]):
+                if i not in picked and rank_of(rows + [i]) > rank_of(rows):
                     rows.append(i)
-                    if rank(_ref_sub(inst, rows)[0]) == k:
+                    if rank_of(rows) == k:
                         break
-            if rank(_ref_sub(inst, rows)[0]) < k:
+            if rank_of(rows) < k:
                 continue
         x = solve(*_ref_sub(inst, rows))
         if x is None:
