@@ -6,6 +6,7 @@ at (matrix, word); retained witnesses are for verification by tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -130,16 +131,27 @@ def _default_isd_threshold(instance: Instance) -> int:
     return math.ceil(2.5 * _expected_error_weight(instance))
 
 
-def _base_form(instance: Instance) -> Optional[tuple[list[int], list[int], list[int], list[int]]]:
+CODE_FORM_CACHE = 4  # codes whose base form is kept; see ``_code_form``
+_Ints = tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=CODE_FORM_CACHE)
+def _code_form(m: BitMat) -> Optional[tuple[_Ints, _Ints, _Ints, _Ints]]:
     """The code in reduced column echelon form, S = M T with T invertible,
     or None when M has rank below k.
 
-    Returns the columns of S and of T, the augmented rows s_i << 1 | word_i
-    of [S | word], and for each row the unit vector e_c when it is the lead
-    row of column c (its highest bit, set in no other column; the row of S
-    there is e_c), else 0. M x = word on a row set exactly when S y = word
-    there for y = T^-1 x, and the lead rows form one information set."""
-    m = instance.matrix
+    Returns the columns of S and of T, the rows of S, and for each row the
+    unit vector e_c when it is the lead row of column c (its highest bit, set
+    in no other column; the row of S there is e_c), else 0. M x = word on a
+    row set exactly when S y = word there for y = T^-1 x, and the lead rows
+    form one information set.
+
+    The form depends on M alone, so it is kept for the last CODE_FORM_CACHE
+    codes, keyed by the (immutable, hashable) ``BitMat``, and shared as
+    tuples: a second attack on a code, whatever its word, skips the
+    elimination. Callers attack one code several times in a row (both
+    decoders on one instance, many words under one key), so a few entries
+    suffice."""
     k = m.ncols
     span = EchelonSet()
     for j, col in enumerate(m.transpose().rows):
@@ -147,18 +159,27 @@ def _base_form(instance: Instance) -> Optional[tuple[list[int], list[int], list[
     red = span.reduced()
     if red and not red[-1] >> k:
         return None  # a combination of columns vanished
-    scols = [v >> k for v in red]
-    tcols = [v & ((1 << k) - 1) for v in red]
-    word = instance.word.value
-    rows = BitMat(len(scols), m.nrows, scols).transpose().rows
-    aug = [r << 1 | (word >> i) & 1 for i, r in enumerate(rows)]
+    scols = tuple(v >> k for v in red)
+    tcols = tuple(v & ((1 << k) - 1) for v in red)
     unit = [0] * m.nrows
     for c, s in enumerate(scols):
         unit[s.bit_length() - 1] = 1 << c
-    return scols, tcols, aug, unit
+    return scols, tcols, BitMat(len(scols), m.nrows, scols).transpose().rows, tuple(unit)
 
 
-def _fix_leads(picks: list[int], aug: list[int], unit: list[int], k: int):
+def _base_form(instance: Instance) -> Optional[tuple[_Ints, _Ints, list[int], _Ints]]:
+    """``_code_form`` of the instance's code with the rows of S replaced by
+    the augmented rows s_i << 1 | word_i of [S | word]; None when M has rank
+    below k."""
+    form = _code_form(instance.matrix)
+    if form is None:
+        return None
+    scols, tcols, rows, unit = form
+    word = instance.word.value
+    return scols, tcols, [r << 1 | (word >> i) & 1 for i, r in enumerate(rows)], unit
+
+
+def _fix_leads(picks: list[int], aug: list[int], unit: _Ints, k: int):
     """Split picked rows of the base form: each lead row fixes its coordinate
     of y to its word bit, and the other rows come back as they are. Also
     returns the masks (keep, fixed) that substitute the fixed coordinates
@@ -192,12 +213,14 @@ def prange_isd(
     size k, invert, accept when the residual weight is plausible.
 
     Singular information sets are discarded, not repaired. The code is
-    brought to the base form of ``_base_form`` once. A picked lead row then
-    fixes its coordinate of y outright, and only the other picked rows, with
-    the fixed coordinates substituted, go through an augmented
-    ``EchelonSet``; the set is singular at the first row it refuses. Each
-    iteration draws one permutation, also when M is rank deficient and no
-    set can win.
+    brought to the base form of ``_code_form``, which is kept for the last
+    few codes, so a repeated attack on a code reuses it and only appends the
+    word. A picked lead row then fixes its coordinate of y outright, and only
+    the other picked rows, with the fixed coordinates substituted, go through
+    an augmented ``EchelonSet``; the set is singular at the first row it
+    refuses. Each iteration draws one permutation, also when M is rank
+    deficient and no set can win. ``wall_time`` includes the base form only
+    when it was not cached: a repeated attack on a cached code excludes it.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters = {max_iters} is negative")
@@ -244,8 +267,10 @@ def pair_aware_isd(
     deficient draw is topped up with individual rows that still extend the
     rank, all under the same zero-error hypothesis.
 
-    It works on the base form of ``_base_form``, as ``prange_isd`` does:
-    picked lead rows fix their coordinates of y, and the other picked rows
+    It works on the base form of ``_code_form``, as ``prange_isd`` does, and
+    shares its cache, so after ``prange_isd`` on the same code its
+    ``wall_time`` excludes the base form. Picked lead rows fix their
+    coordinates of y, and the other picked rows
     and the top-up rows enter an augmented ``EchelonSet`` with those
     coordinates substituted. Every fixed unit vector already lies in the
     span, so a top-up row extends it exactly when its remaining part extends

@@ -5,6 +5,7 @@ the inverter would assign, giving invert's raw (pre-retry) emission
 probability for that exact seed. Used to verify that, conditioned on
 success, invert is uniform over expand-preimages.
 """
+import functools
 from fractions import Fraction
 
 from slpn.gf2 import BitMat, swap_halves, xor_rows
@@ -19,9 +20,17 @@ def ordered_dual_vectors(cols: list[int], n: int) -> tuple[list[int], tuple[int,
 
     ``expand`` and ``invert`` grow this basis one column at a time through
     ``incremental_dual``; this recomputes it from scratch, as the reference
-    the incremental basis is checked against."""
-    pairing = [swap_halves(c, n) for c in cols]
-    return _kernel_ints(pairing, 2 * n)
+    the incremental basis is checked against. The result is memoized by the
+    column tuple: the exhaustive check at n = 2 asks for the same few column
+    lists at every step of every seed."""
+    vecs, free = _dual_from_scratch(tuple(cols), n)
+    return list(vecs), free
+
+
+@functools.lru_cache(maxsize=None)
+def _dual_from_scratch(cols: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    vecs, free = _kernel_ints([swap_halves(c, n) for c in cols], 2 * n)
+    return tuple(vecs), free
 
 
 def invert_raw_probability(seed: Seed, target: BitMat) -> Fraction | None:

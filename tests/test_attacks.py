@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from naive_gf2 import naive_matvec, naive_rank
 from slpn.attacks import (
     AttackResult,
+    _code_form,
     brute_force_decide,
     brute_force_search,
     eta_weight,
@@ -434,6 +435,34 @@ def test_isd_matches_plain_reference(algo, shape, n, k_frac, p, seed, max_iters,
     res = attack(rng, inst, max_iters, threshold)
     assert (res.success, res.secret, res.error, res.iterations) == reference(twin, inst, max_iters, threshold)
     assert rng.bits(64) == twin.bits(64)
+
+
+def _attack_both(inst, seed, max_iters=60):
+    """prange then pair-aware on one instance from one Rng: every result field
+    but the wall time, and the next draw."""
+    rng = Rng(seed)
+    runs = [attack(rng, inst, max_iters) for attack in (prange_isd, pair_aware_isd)]
+    return [(r.success, r.secret, r.error, r.iterations) for r in runs], rng.bits(64)
+
+
+@pytest.mark.parametrize("shape", ["symplpn", "lpn", "deficient"])
+def test_isd_code_form_cache_is_invisible_and_reused(shape):
+    inst = _reference_instance(shape, 12, 8, 0.05, 31)
+    m = inst.matrix
+    twin = BitMat(m.nrows, m.ncols, list(m.rows))  # equal, not the same object
+    assert twin == m and twin.rows is not m.rows
+    other = Instance(inst.kind, twin, inst.word ^ Rng(32).bits(m.nrows), inst.k, inst.n, inst.p)
+
+    _code_form.cache_clear()
+    cold = _attack_both(inst, 7)
+    # pair-aware reused the form that prange built
+    assert (_code_form.cache_info().misses, _code_form.cache_info().hits) == (1, 1)
+    warm_other = _attack_both(other, 8)
+    assert _attack_both(inst, 7) == cold
+    assert (_code_form.cache_info().misses, _code_form.cache_info().hits) == (1, 5)
+    _code_form.cache_clear()
+    assert _attack_both(other, 8) == warm_other
+    assert _code_form.cache_info().misses == 1
 
 
 # -- code distance ----------------------------------------------------------------

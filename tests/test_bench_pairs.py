@@ -99,3 +99,29 @@ def test_bench_pairs_regression_verdicts_and_json(tmp_path):
     assert saved["metrics"]["secondary_ref_ms_p50"]["parent"]["values"] == wide
     assert [r["metrics"]["primary_ref_ms_p50"] for r in saved["runs"]["change"]] == [1.3] * 4
     assert [(r["seed"], r["failed"]) for r in saved["runs"]["change"]] == [(s, 1) for s in range(5, 9)]
+
+
+# A perfbench run that dies after its record line: the last line is not the
+# result, and the cause is on its stderr.
+DYING_RUN = """\
+import json
+print("record " + json.dumps({"git_revision": "x"}), flush=True)
+raise RuntimeError("the workload broke")
+"""
+
+
+def test_bench_pairs_reports_a_run_that_dies_after_its_record(tmp_path):
+    checkouts = []
+    for name in ("parent", "change"):
+        d = tmp_path / name
+        (d / "perfbench").mkdir(parents=True)
+        (d / "perfbench" / "run.py").write_text(DYING_RUN)
+        checkouts.append(str(d))
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), *checkouts, "--workload", "isd", "--pairs", "2", "--seconds", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "printed no result" in proc.stderr
+    assert "RuntimeError: the workload broke" in proc.stderr
+    assert "JSONDecodeError" not in proc.stderr

@@ -31,7 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_record import quartiles
+from bench_record import last_json, quartiles
 
 ROOT = Path(__file__).resolve().parent.parent
 HEADER = ("metric", "better", "parent_p50", "parent_iqr", "change_p50", "change_iqr", "wins", "holds",
@@ -65,10 +65,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seconds", str(seconds), "--trace", "0"]
     print(f"bench_pairs: {checkout}: " + " ".join(cmd[1:]), file=sys.stderr, flush=True)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode == 2 or not lines:
-        raise SystemExit(f"bench_pairs: perfbench could not run in {checkout}:\n{proc.stderr}")
-    result = json.loads(lines[-1])
+    result = last_json(proc, f"bench_pairs: {checkout}")
     values = {name: m["value"] for name, m in result["metrics"].items()}
     print(f"bench_pairs: {checkout} seed {seed}: failed {result['failed']} " + json.dumps(values),
           file=sys.stderr, flush=True)

@@ -44,22 +44,37 @@ def quartiles(values: list[float]) -> dict:
     return {"p25": q[0], "p50": q[1], "p75": q[2], "values": values}
 
 
+def last_json(proc: subprocess.CompletedProcess, what: str) -> dict:
+    """The JSON object on the last stdout line of one perfbench run.
+
+    When the run could not start (exit 2), printed nothing, or died before
+    that line, so that another line is last, this exits with ``what`` and the
+    run's stderr, which says why."""
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 2 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            result = None
+        if isinstance(result, dict):
+            return result
+    raise SystemExit(f"{what}: perfbench (exit {proc.returncode}) printed no result:\n{proc.stderr}")
+
+
 def perfbench(workload: str, seed: int, trace: int) -> tuple[dict, dict, dict | None]:
     """One run: its record, its last-line result and its trace report."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     print("bench_record: " + " ".join(cmd[1:]), file=sys.stderr, flush=True)
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode == 2 or not lines:
-        raise SystemExit(f"bench_record: perfbench could not run:\n{proc.stderr}")
+    result = last_json(proc, "bench_record")
     record = trace_report = None
-    for line in lines:
+    for line in proc.stdout.splitlines():
         if line.startswith("record "):
             record = json.loads(line[len("record "):])
         elif line.startswith("trace "):
             trace_report = json.loads(line[len("trace "):])
-    return record, json.loads(lines[-1]), trace_report
+    return record, result, trace_report
 
 
 def tier1() -> dict:
