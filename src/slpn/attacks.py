@@ -270,14 +270,14 @@ def pair_aware_isd(
     It works on the base form of ``_code_form``, as ``prange_isd`` does, and
     shares its cache, so after ``prange_isd`` on the same code its
     ``wall_time`` excludes the base form. Picked lead rows fix their
-    coordinates of y, and the other picked rows
-    and the top-up rows enter an augmented ``EchelonSet`` with those
-    coordinates substituted. Every fixed unit vector already lies in the
-    span, so a top-up row extends it exactly when its remaining part extends
-    the set. At full rank the set yields the rest of y; the picked rows agree
-    with the solution exactly when its error vanishes on them. (The top-up
-    rows sit in the echelon set and always agree.) When M is rank deficient,
-    each iteration still draws its pair and top-up permutations.
+    coordinates of y, and the other picked rows and the top-up rows enter an
+    augmented ``EchelonSet`` with those coordinates substituted. Every fixed
+    unit vector already lies in the span, so a top-up row extends it exactly
+    when its remaining part extends the set. At full rank the set yields the
+    rest of y; the picked rows agree with the solution exactly when its error
+    vanishes on them. (The top-up rows sit in the echelon set and always
+    agree.) When M is rank deficient, each iteration still draws its pair
+    and top-up permutations.
     """
     if instance.matrix.nrows % 2:
         raise ValueError("pair-aware decoding needs 2n rows")
