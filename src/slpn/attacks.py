@@ -131,11 +131,10 @@ def _default_isd_threshold(instance: Instance) -> int:
     return math.ceil(2.5 * _expected_error_weight(instance))
 
 
-CODE_FORM_CACHE = 4  # codes whose base form is kept; see ``_code_form``
 _Ints = tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=CODE_FORM_CACHE)
+@functools.lru_cache(maxsize=1)
 def _code_form(m: BitMat) -> Optional[tuple[_Ints, _Ints, _Ints, _Ints]]:
     """The code in reduced column echelon form, S = M T with T invertible,
     or None when M has rank below k.
@@ -146,12 +145,11 @@ def _code_form(m: BitMat) -> Optional[tuple[_Ints, _Ints, _Ints, _Ints]]:
     row set exactly when S y = word there for y = T^-1 x, and the lead rows
     form one information set.
 
-    The form depends on M alone, so it is kept for the last CODE_FORM_CACHE
-    codes, keyed by the (immutable, hashable) ``BitMat``, and shared as
-    tuples: a second attack on a code, whatever its word, skips the
-    elimination. Callers attack one code several times in a row (both
-    decoders on one instance, many words under one key), so a few entries
-    suffice."""
+    The form depends on M alone, so it is kept for the last code, keyed by
+    the (immutable, hashable) ``BitMat``, and shared as tuples: a second
+    attack on a code in a row, whatever its word, skips the elimination.
+    The callers that attack a code twice run both decoders on one instance
+    back to back (``matched_isd``), so one entry suffices."""
     k = m.ncols
     span = EchelonSet()
     for j, col in enumerate(m.transpose().rows):
@@ -213,14 +211,13 @@ def prange_isd(
     size k, invert, accept when the residual weight is plausible.
 
     Singular information sets are discarded, not repaired. The code is
-    brought to the base form of ``_code_form``, which is kept for the last
-    few codes, so a repeated attack on a code reuses it and only appends the
-    word. A picked lead row then fixes its coordinate of y outright, and only
-    the other picked rows, with the fixed coordinates substituted, go through
-    an augmented ``EchelonSet``; the set is singular at the first row it
-    refuses. Each iteration draws one permutation, also when M is rank
-    deficient and no set can win. ``wall_time`` includes the base form only
-    when it was not cached: a repeated attack on a cached code excludes it.
+    brought to the base form of ``_code_form`` once. A picked lead row then
+    fixes its coordinate of y outright, and only the other picked rows, with
+    the fixed coordinates substituted, go through an augmented
+    ``EchelonSet``; the set is singular at the first row it refuses. Each
+    iteration draws one permutation, also when M is rank deficient and no
+    set can win. The ``wall_time`` of a repeated attack on a cached code
+    excludes the base form.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters = {max_iters} is negative")
@@ -267,17 +264,17 @@ def pair_aware_isd(
     deficient draw is topped up with individual rows that still extend the
     rank, all under the same zero-error hypothesis.
 
-    It works on the base form of ``_code_form``, as ``prange_isd`` does, and
-    shares its cache, so after ``prange_isd`` on the same code its
-    ``wall_time`` excludes the base form. Picked lead rows fix their
-    coordinates of y, and the other picked rows and the top-up rows enter an
-    augmented ``EchelonSet`` with those coordinates substituted. Every fixed
-    unit vector already lies in the span, so a top-up row extends it exactly
-    when its remaining part extends the set. At full rank the set yields the
-    rest of y; the picked rows agree with the solution exactly when its error
-    vanishes on them. (The top-up rows sit in the echelon set and always
-    agree.) When M is rank deficient, each iteration still draws its pair
-    and top-up permutations.
+    It works on the base form of ``_code_form``, as ``prange_isd`` does:
+    picked lead rows fix their coordinates of y, and the other picked rows
+    and the top-up rows enter an augmented ``EchelonSet`` with those
+    coordinates substituted. Every fixed unit vector already lies in the
+    span, so a top-up row extends it exactly when its remaining part extends
+    the set. At full rank the set yields the rest of y; the picked rows agree
+    with the solution exactly when its error vanishes on them. (The top-up
+    rows sit in the echelon set and always agree.) When M is rank deficient,
+    each iteration still draws its pair and top-up permutations. The
+    ``wall_time`` of a repeated attack on a cached code, such as one right
+    after ``prange_isd`` on the same instance, excludes the base form.
     """
     if instance.matrix.nrows % 2:
         raise ValueError("pair-aware decoding needs 2n rows")

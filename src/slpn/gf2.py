@@ -68,7 +68,7 @@ Information-set decoding solves the system [M | b] on many row subsets.
 ``attacks`` first brings M to reduced column echelon form with one
 ``EchelonSet`` pass over its columns, each tagged with its own unit vector so
 that the tags record the column operations. This form depends on M alone, so
-it is computed once per code and kept for the last few codes, keyed by the
+it is computed once per code and kept for the last code, keyed by the
 ``BitMat``; each attack only appends its word b. Each column of the result
 then has a lead row that no other column has, and a picked lead row fixes one
 unknown outright. Only the other picked rows go through an augmented
