@@ -1,5 +1,6 @@
 """Tests for the one-bit public-key scheme and its correctness formulas."""
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -23,6 +24,7 @@ from slpn.pke import (
     predict_success,
 )
 from slpn.sampling import Rng
+from slpn.supke import su_enc_traced, su_gen
 
 
 def depolarizing_pair_probs(p):
@@ -109,6 +111,31 @@ def test_enc_rejects_non_bit():
     pk, _ = gen(rng, 4, 0.2)
     with pytest.raises(ValueError):
         enc(rng, pk, 2)
+
+
+@pytest.mark.parametrize(
+    "keygen, encrypt, n, digest",
+    [
+        (gen, enc_traced, 2, "fa4bcec24495f138"),
+        (gen, enc_traced, 8, "4ed39d48606fc9ab"),
+        (gen, enc_traced, 128, "13909910a7f813da"),
+        (gen, enc_traced, 512, "23b2c01abdf1f3a8"),
+        (su_gen, su_enc_traced, 16, "f0d61921043077d4"),
+        (su_gen, su_enc_traced, 128, "a3f4e7451d168e62"),
+    ],
+    ids=["pke-2", "pke-8", "pke-128", "pke-512", "supke-16", "supke-128"],
+)
+def test_enc_golden_stream(keygen, encrypt, n, digest):
+    # 200 encryptions under one key at the 0.75 operating point: every
+    # ciphertext, its noise f and where the Rng is left afterwards
+    rng = Rng(1000 + n)
+    pk, _ = keygen(rng, n, pick_p_for_success(n, 0.75))
+    h = hashlib.sha256()
+    for i in range(200):
+        ct, f = encrypt(rng, pk, (i // 3) & 1)
+        h.update(f"{ct.u.to_hex()} {ct.c} {f.to_hex()}\n".encode())
+    h.update(rng.bits(64).to_hex().encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_ciphertexts_differ_only_in_c_for_same_f():
