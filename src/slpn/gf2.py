@@ -26,8 +26,9 @@ its ``& 1``, ``from_json`` and ``from_hex`` after the trailing-bits check,
 the ``Rng`` draws and the noise samplers, the kernel, column-space and
 symplectic-dual bases, the three parts of the symplectic split, the columns
 of a dual's ``grow``, of the LSN sampler, of the seed expansion, of the
-drop-bit transform's hyperplane basis and of the dual-mode transform, and
-the rows of the hyperplane rotation.
+drop-bit transform's hyperplane basis and of the dual-mode transform,
+the rows of the hyperplane rotation, and the ciphertext and noise of
+``pke.enc_traced``.
 Callers that want the columns as ints read ``transpose().rows`` rather than
 one BitVec per column from ``cols()``. At n=4 building these objects is much
 of a call's cost, and skipping ``__init__`` cuts it.

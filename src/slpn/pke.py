@@ -8,10 +8,11 @@ mu + (f * e), so correctness is governed by Pr[f * e = 0].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .gf2 import BitMat, BitVec, check_isotropic, read_fields, symp_inner, symp_vec_mat
-from .sampling import Rng, check_rate, sample_depolarizing, sample_isotropic
+from .gf2 import BitMat, BitVec, check_isotropic, read_fields, swap_halves
+from .sampling import Rng, check_rate, draw_depolarizing, sample_depolarizing, sample_isotropic
 
 __all__ = [
     "PublicKey",
@@ -105,13 +106,39 @@ def enc(rng: Rng, pk: PublicKey, mu: int) -> Ciphertext:
 
 
 def enc_traced(rng: Rng, pk: PublicKey, mu: int) -> tuple[Ciphertext, BitVec]:
-    """Encryption that also returns the 2n-bit encryption noise f, for white-box checks."""
+    """Encryption that also returns the 2n-bit encryption noise f, for white-box checks.
+
+    One pass over the noisy pairs of ``draw_depolarizing``: an X part at pair
+    j sets f's bit j and adds row n + j of a to u, a Z part sets bit n + j
+    and adds row j. So u is ``symp_vec_mat(f, a)``, and c, the parity of f
+    against the half-swapped b plus mu, is ``symp_inner(f, b) + mu``; f, u,
+    c and the Rng's position equal those of ``sample_depolarizing`` followed
+    by those two. The message and the key's dimensions are checked before
+    any draw.
+    """
+    try:
+        mu = operator.index(mu)
+    except TypeError:
+        mu = None
     if mu not in (0, 1):
         raise ValueError("message must be a single bit")
-    f = sample_depolarizing(rng, pk.n, pk.p)
-    u = symp_vec_mat(f, pk.a)
-    c = (symp_inner(f, pk.b) + mu) & 1
-    return Ciphertext(u, c), f
+    n, a, b = pk.n, pk.a, pk.b
+    if a.nrows != 2 * n or b.nbits != 2 * n:
+        raise ValueError("dimension mismatch")
+    noisy, patterns = draw_depolarizing(rng, n, pk.p)
+    rows = a.rows
+    x = z = u = 0
+    js = noisy.nonzero()[0]
+    for j, pattern in zip(js.tolist(), patterns[js].tolist()):
+        if pattern & 1:
+            x |= 1 << j
+            u ^= rows[n + j]
+        if pattern & 2:
+            z |= 1 << j
+            u ^= rows[j]
+    f = x | z << n
+    c = ((f & swap_halves(b.value, n)).bit_count() + mu) & 1
+    return Ciphertext(BitVec._trusted(a.ncols, u), c), BitVec._trusted(2 * n, f)
 
 
 def dec(sk: SecretKey, ct: Ciphertext) -> int:

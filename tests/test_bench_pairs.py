@@ -125,3 +125,50 @@ def test_bench_pairs_reports_a_run_that_dies_after_its_record(tmp_path):
     assert "printed no result" in proc.stderr
     assert "RuntimeError: the workload broke" in proc.stderr
     assert "JSONDecodeError" not in proc.stderr
+
+
+# A stand-in for perfbench/run.py --setup-only: prints the set-up time
+# values.json holds for its --seed, and refuses any other mode.
+FAKE_SETUP = """\
+import json, sys
+from pathlib import Path
+assert "--setup-only" in sys.argv and "--seconds" not in sys.argv
+here = Path(__file__).resolve().parent.parent
+seed = sys.argv[sys.argv.index("--seed") + 1]
+with open(here.parent / "order.log", "a") as fh:
+    fh.write(f"{here.name} {seed}\\n")
+print(json.dumps({"setup_s": json.loads((here / "values.json").read_text())[seed]}))
+"""
+
+
+def test_bench_pairs_setup_only_judges_setup_s_alone(tmp_path):
+    pairs = 12
+    checkouts = []
+    for name, values in (("parent", [0.2 + i / 1000 for i in range(pairs)]),
+                         # 30% slower in every pair: worse than the 0.25 bound
+                         ("change", [0.26 + i / 1000 for i in range(pairs)])):
+        d = tmp_path / name
+        (d / "perfbench").mkdir(parents=True)
+        (d / "perfbench" / "run.py").write_text(FAKE_SETUP)
+        (d / "values.json").write_text(json.dumps({str(5 + i): v for i, v in enumerate(values)}))
+        checkouts.append(str(d))
+    out = tmp_path / "setup.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), *checkouts, "--workload", "keys", "--setup-only",
+         "--pairs", str(pairs), "--seed-base", "5", "--out", str(out)],
+        capture_output=True, text=True, check=True,
+    )
+    order = (tmp_path / "order.log").read_text().split("\n")[:4]
+    assert order == ["parent 5", "change 5", "change 6", "parent 6"]
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert lines == [
+        ["metric", "better", "parent_p50", "parent_iqr", "change_p50", "change_iqr", "wins",
+         "holds", "regression"],
+        ["setup_s", "lower", "0.2055", "0.20275-0.20825", "0.2655", "0.26275-0.26825", "0/12",
+         "no", "worse"],
+    ]
+    saved = json.loads(out.read_text())
+    assert (saved["workload"], saved["setup_only"], saved["seeds"]) == ("keys", True, list(range(5, 17)))
+    assert list(saved["metrics"]) == ["setup_s"]
+    assert saved["metrics"]["setup_s"]["regression"] == "worse"
+    assert saved["runs"]["parent"][1] == {"seed": 6, "metrics": {"setup_s": 0.201}}

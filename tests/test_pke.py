@@ -2,12 +2,14 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 
+import numpy as np
 import pytest
 
 from pair_vectors import from_pairs
-from slpn.gf2 import solve, symp_inner
+from slpn.gf2 import BitVec, solve, symp_inner, symp_vec_mat
 from slpn.pke import (
     Ciphertext,
     PublicKey,
@@ -23,8 +25,8 @@ from slpn.pke import (
     pick_p_for_success,
     predict_success,
 )
-from slpn.sampling import Rng
-from slpn.supke import su_enc_traced, su_gen
+from slpn.sampling import Rng, sample_depolarizing
+from slpn.supke import su_enc, su_enc_traced, su_gen
 
 
 def depolarizing_pair_probs(p):
@@ -106,11 +108,59 @@ def test_enc_u_is_per_column_product():
             assert ct.u.bit(j) == symp_inner(f, pk.a.col(j))
 
 
+def _state(rng: Rng) -> str:
+    return json.dumps(rng.numpy().bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
+
+
 def test_enc_rejects_non_bit():
+    # refused before any draw, including a float or a string that equals 1
     rng = Rng(6)
     pk, _ = gen(rng, 4, 0.2)
-    with pytest.raises(ValueError):
-        enc(rng, pk, 2)
+    spk, _ = su_gen(rng, 4, 0.2)
+    for encrypt, key in ((enc, pk), (su_enc, spk)):
+        for mu in (2, -1, 1.0, 0.0, "1", None):
+            before = _state(rng)
+            with pytest.raises(ValueError, match="message must be a single bit"):
+                encrypt(rng, key, mu)
+            assert _state(rng) == before
+    for mu in (True, False, np.int64(1), np.uint8(0)):
+        ct, f = enc_traced(rng, pk, mu)
+        assert type(ct.c) is int and ct.c == symp_inner(f, pk.b) ^ int(mu)
+
+
+@pytest.mark.parametrize("n", [1, 5, 128, 512])
+def test_enc_matches_the_reference_definitions(n):
+    # u = f * a and c = f * b + mu column by column, f is the depolarizing
+    # sampler's vector, and the Rng ends where the sampler leaves it; at
+    # p = 0.75 nearly every pair is noisy
+    pk, _ = gen(Rng(n), n, 0.1)
+    for p in (0, pick_p_for_success(n, 0.75), 0.5, 0.75):
+        key = dataclasses.replace(pk, p=p)
+        for seed in range(200):
+            rng, twin = Rng(seed), Rng(seed)
+            mu = seed & 1
+            ct, f = enc_traced(rng, key, mu)
+            assert f == sample_depolarizing(twin, n, p)
+            assert ct.u == symp_vec_mat(f, key.a)
+            assert ct.c == symp_inner(f, key.b) ^ mu
+            assert _state(rng) == _state(twin)
+
+
+def test_enc_refuses_inconsistent_key_dimensions_before_any_draw():
+    pk, _ = gen(Rng(13), 4, 0.2)
+    small, _ = gen(Rng(14), 3, 0.2)
+    for key in (
+        dataclasses.replace(pk, a=small.a),
+        dataclasses.replace(pk, b=small.b),
+        dataclasses.replace(pk, b=BitVec(9, 1)),
+        dataclasses.replace(pk, n=3),
+        dataclasses.replace(pk, n=5),
+    ):
+        rng = Rng(15)
+        before = _state(rng)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            enc_traced(rng, key, 1)
+        assert _state(rng) == before
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,15 @@ unless every change run beats every parent run; else ``ok``. It also prints
 each side's failed operations, and ``--out`` writes the table's verdicts
 and every run's values as JSON. Nothing here is a gate: the exit code is 1
 only when a run fails an output check or cannot run. Standard library only.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload keys --setup-only \
+        --pairs 30 [--out SETUP.json]
+
+``--setup-only`` judges ``setup_s`` alone, from pairs of fresh
+``perfbench/run.py --setup-only`` runs (import slpn and build the workload's
+inputs, about 0.2 s each) in the same alternating order. A full run reports
+the median of only a few such set-ups, so full pairs are too few to resolve
+a ``setup_s`` shift of the size of its bound; these short pairs can be many.
 """
 from __future__ import annotations
 
@@ -72,6 +81,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def run_setup(checkout: Path, workload: str, seed: int) -> dict:
+    """One fresh ``perfbench/run.py --setup-only`` run in ``checkout``, shaped
+    as a result whose only metric is ``setup_s``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--setup-only"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    setup_s = last_json(proc, f"bench_pairs: {checkout}")["setup_s"]
+    print(f"bench_pairs: {checkout} seed {seed}: setup_s {setup_s}", file=sys.stderr, flush=True)
+    return {"correct": True, "metrics": {"setup_s": {"value": setup_s, "unit": "s"}}}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent revision")
@@ -80,6 +100,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed-base", type=int, default=1)
+    ap.add_argument("--setup-only", action="store_true",
+                    help="judge setup_s alone, from fresh set-up-only runs")
     ap.add_argument("--out", type=Path, help="also write the verdicts and every run's values here")
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -90,11 +112,15 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(run_once(sides[side], args.workload, args.seed_base + i, args.seconds))
+            seed = args.seed_base + i
+            results[side].append(run_setup(sides[side], args.workload, seed) if args.setup_only
+                                 else run_once(sides[side], args.workload, seed, args.seconds))
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     table, judged = [HEADER], {}
     for metric in benchmark["end_to_end"]:
+        if args.setup_only and metric["name"] != "setup_s":
+            continue
         name, better = metric["name"], metric["better"]
         values = {s: [r["metrics"].get(name, {}).get("value") for r in results[s]] for s in sides}
         if any(v is None for vs in values.values() for v in vs):
@@ -110,18 +136,20 @@ def main(argv=None) -> int:
     widths = [max(len(r[i]) for r in table) for i in range(len(HEADER))]
     for r in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    for side in sides:
-        failed = [r["failed"] for r in results[side]]
-        attempted = [r["attempted"] for r in results[side]]
-        print(f"{side}: failed {sum(failed)} of {sum(attempted)} operations")
+    if not args.setup_only:
+        for side in sides:
+            failed = [r["failed"] for r in results[side]]
+            attempted = [r["attempted"] for r in results[side]]
+            print(f"{side}: failed {sum(failed)} of {sum(attempted)} operations")
     if args.out:
         seeds = [args.seed_base + i for i in range(args.pairs)]
-        runs = {s: [{"seed": seed, "failed": r["failed"], "attempted": r["attempted"],
+        counts = ("failed", "attempted")
+        runs = {s: [{"seed": seed, **{k: r[k] for k in counts if k in r},
                      "metrics": {k: m["value"] for k, m in r["metrics"].items()}}
                     for seed, r in zip(seeds, results[s])] for s in sides}
         args.out.write_text(json.dumps({
-            "workload": args.workload, "seconds": args.seconds, "seeds": seeds,
-            "metrics": judged, "runs": runs,
+            "workload": args.workload, "seconds": None if args.setup_only else args.seconds,
+            "setup_only": args.setup_only, "seeds": seeds, "metrics": judged, "runs": runs,
         }, indent=1) + "\n")
     return 0 if all(r["correct"] for s in sides for r in results[s]) else 1
 
