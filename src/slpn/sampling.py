@@ -9,6 +9,7 @@ every platform.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -155,44 +156,56 @@ def _packed(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def draw_depolarizing(rng: Rng, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two draws that define depolarizing noise on n pairs, in this order:
-    ``noisy``, a bool array whose entry j is True w.p. p, and ``patterns``,
-    n integers uniform on {1, 2, 3}.
+def draw_depolarizing(rng: Rng, n: int, p: float) -> tuple[np.ndarray, float, float, float]:
+    """The one draw that defines depolarizing noise on n pairs: n uniforms
+    ``u = rng.numpy().random(n)`` and the thresholds t1 < t2 < t3 that read
+    pair j's outcome from u[j] alone.
 
-    A noisy pair j takes pattern ``patterns[j]`` as bits (j, n + j) = (1,0),
-    (0,1) or (1,1), and a quiet pair (0,0); so each of the three non-zero
-    patterns has probability p/3. ``sample_depolarizing`` packs these into
-    a 2n-bit vector, and ``pke.enc_traced`` walks the noisy pairs straight
-    from them. The two numpy draws are nearly all of either caller's cost
-    at few noisy pairs (about 25 us at n = 512 on a 2-core x86 host).
+    Pair j is quiet, bits (j, n + j) = (0,0), when u[j] >= t3; otherwise it
+    takes pattern 1, (1,0), when u[j] < t1, pattern 2, (0,1), when
+    t1 <= u[j] < t2, and pattern 3, (1,1), when t2 <= u[j] < t3. numpy's
+    ``random`` is exactly m * 2^-53 with m the top 53 bits of the next
+    64-bit word, and t_k = k T 2^-53 with T = ceil(p 2^53 / 3) (an integer:
+    p 2^53 is exact, and ceil(ceil(x) / 3) = ceil(x / 3)). So each
+    non-zero pattern holds exactly T of the 2^53 grid points and
+    P(noisy) = 3 T 2^-53 lies in [p, p + 3 * 2^-53). The one exception is
+    3T > 2^53, which happens only at p = 1 and p = 1 - 2^-53: there
+    T = (2^53 + 1) / 3, t3 rounds to 1.0, every pair is noisy and pattern 3
+    holds T - 1 points.
+
+    ``sample_depolarizing`` packs this into a 2n-bit vector, and
+    ``pke.enc_traced`` walks the noisy pairs straight from it. The numpy
+    draw is nearly all of either caller's cost at few noisy pairs.
     """
     check_rate(p)
-    gen = rng.numpy()
-    return gen.random(n) < p, gen.integers(1, 4, size=n)
+    t1 = (math.ceil(p * 2.0**53) + 2) // 3 * 2.0**-53
+    return rng.numpy().random(n), t1, 2 * t1, 3 * t1
 
 
 def sample_depolarizing(rng: Rng, n: int, p: float) -> BitVec:
-    """Per-pair noise on a 2n-bit vector, pair j at bits (j, n + j): (0,0) w.p.
-    1-p, each of the other three patterns w.p. p/3, from ``draw_depolarizing``.
+    """Per-pair noise on a 2n-bit vector, pair j at bits (j, n + j): each of
+    the three non-zero patterns w.p. T 2^-53 (about p/3) and (0,0) otherwise,
+    read from ``draw_depolarizing``, which states the exact law.
 
     Up to 8 noisy pairs are set one at a time; beyond that, packing two bool
     arrays costs less than the loop.
     """
-    noisy, patterns = draw_depolarizing(rng, n, p)
+    u, t1, t2, t3 = draw_depolarizing(rng, n, p)
+    noisy = u < t3
     if np.count_nonzero(noisy) > 8:
-        lo = _packed(noisy & (patterns != 2))
-        hi = _packed(noisy & (patterns > 1))
+        lo = _packed((u < t1) | (noisy & (u >= t2)))
+        hi = _packed(noisy & (u >= t1))
         return BitVec._trusted(2 * n, lo | hi << n)
     value = 0
-    for j in np.flatnonzero(noisy).tolist():
-        pattern = int(patterns[j])
-        value |= (pattern & 1) << j | (pattern >> 1) << (n + j)
+    js = noisy.nonzero()[0]
+    for j, uj in zip(js.tolist(), u[js].tolist()):
+        value |= (uj < t1 or uj >= t2) << j | (uj >= t1) << (n + j)
     return BitVec._trusted(2 * n, value)
 
 
 def sample_bernoulli(rng: Rng, n: int, p: float) -> BitVec:
-    """Each bit independently 1 with probability p."""
+    """Each bit independently 1 with probability p, exactly ceil(p 2^53) 2^-53:
+    bit i is ``random() < p`` and ``random`` is a multiple of 2^-53."""
     check_rate(p)
     return BitVec._trusted(n, _packed(rng.numpy().random(n) < p))
 

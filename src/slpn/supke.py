@@ -21,7 +21,7 @@ from .gf2 import (
     read_fields,
     xor_rows,
 )
-from .pke import Ciphertext, PublicKey, SecretKey, check_p
+from .pke import Ciphertext, PublicKey, SecretKey, check_message, check_p
 from .pke import dec as _pke_dec, enc_traced as _pke_enc_traced
 from .sampling import Rng, sample_depolarizing
 
@@ -199,8 +199,10 @@ def su_enc(rng: Rng, pk: SuPublicKey, mu: int) -> Ciphertext:
 def su_enc_traced(rng: Rng, pk: SuPublicKey, mu: int) -> tuple[Ciphertext, BitVec]:
     """Encrypt exactly as with the plain public key the seed expands to.
 
-    The seed is expanded on a key's first encryption only.
+    The seed is expanded on a key's first encryption only, and not for a
+    message that is refused.
     """
+    mu = check_message(mu)
     return _pke_enc_traced(rng, pk._plain_key, mu)
 
 

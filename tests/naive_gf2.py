@@ -1,91 +1,63 @@
 """Independent one-bit-per-byte GF(2) elimination oracle for cross-checking.
 
-Deliberately naive: dense uint8 arrays, element loops, no shared code with
-the packed implementation.
+Deliberately naive: dense uint8 arrays, one Gauss-Jordan elimination shared
+by rank, solve and nullspace, no shared code with the packed implementation.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def naive_rank(a: np.ndarray) -> int:
-    m = (np.array(a, dtype=np.uint8) % 2).copy()
-    nrows, ncols = m.shape
-    r = 0
+def _eliminate(m: np.ndarray, ncols: int) -> list[tuple[int, int]]:
+    """Bring m to reduced row echelon form in place, pivoting only in its
+    first ncols columns, and return the (row, col) pivots.
+
+    The pivot of column c is the first row at or below the next pivot row
+    with a 1 there; it is swapped up and XORed into every other row with a 1
+    in column c, in one numpy operation.
+    """
+    nrows = m.shape[0]
+    pivots: list[tuple[int, int]] = []
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[[r, pivot]] = m[[pivot, r]]
-        for i in range(nrows):
-            if i != r and m[i, c]:
-                m[i, :] ^= m[r, :]
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return r
+        hits = np.flatnonzero(m[r:, c])
+        if hits.size == 0:
+            continue
+        pivot = r + int(hits[0])
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        hit = np.flatnonzero(m[:, c])
+        m[hit[hit != r]] ^= m[r]
+        pivots.append((r, c))
+    return pivots
+
+
+def naive_rank(a: np.ndarray) -> int:
+    m = np.array(a, dtype=np.uint8) % 2
+    return len(_eliminate(m, m.shape[1]))
 
 
 def naive_solve(a: np.ndarray, b: np.ndarray):
     """Return some x with a @ x = b mod 2, or None."""
-    m = (np.array(a, dtype=np.uint8) % 2).copy()
-    rhs = (np.array(b, dtype=np.uint8) % 2).copy()
-    nrows, ncols = m.shape
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[[r, pivot]] = m[[pivot, r]]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        for i in range(nrows):
-            if i != r and m[i, c]:
-                m[i, :] ^= m[r, :]
-                rhs[i] ^= rhs[r]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rhs[i]:
-            return None
+    m = np.array(a, dtype=np.uint8) % 2
+    ncols = m.shape[1]
+    aug = np.concatenate([m, (np.array(b, dtype=np.uint8) % 2)[:, None]], axis=1)
+    pivots = _eliminate(aug, ncols)
+    if aug[len(pivots) :, ncols].any():
+        return None
     x = np.zeros(ncols, dtype=np.uint8)
     for row, col in pivots:
-        x[col] = rhs[row]
+        x[col] = aug[row, ncols]
     return x
 
 
 def naive_nullspace(a: np.ndarray) -> np.ndarray:
     """Rows of the result form a basis of {x : a @ x = 0 mod 2}."""
-    m = (np.array(a, dtype=np.uint8) % 2).copy()
-    nrows, ncols = m.shape
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[[r, pivot]] = m[[pivot, r]]
-        for i in range(nrows):
-            if i != r and m[i, c]:
-                m[i, :] ^= m[r, :]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
+    m = np.array(a, dtype=np.uint8) % 2
+    ncols = m.shape[1]
+    pivots = _eliminate(m, ncols)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(ncols):

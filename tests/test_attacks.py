@@ -268,30 +268,30 @@ ISD_GOLDEN = [
     ("prange", "lpn", 64, 0.05, 4, 40, None, False, 40, None, None, "fc206ba7d1222858"),
     ("prange", "lpn", 64, 0.0, 3, 100, None, True, 7, "d447351ab6346fb1", "00000000000000000000000000000000", "a44432a08131741f"),
     ("prange", "lpn_wide", 8, 0.0, 9, 40, None, False, 40, None, None, "88123e5134fd1671"),
-    ("prange", "symplpn", 8, 0.2, 43, 400, 2, True, 124, "9e", "8888", "7d0d7c26b4d17849"),
-    ("prange", "symplpn", 16, 0.2, 3, 400, 2, True, 55, "c1b6", "80100010", "e5f6946a1dac864d"),
+    ("prange", "symplpn", 8, 0.2, 43, 400, 2, True, 125, "9e", "8888", "7d0d7c26b4d17849"),
+    ("prange", "symplpn", 16, 0.2, 3, 400, 2, True, 11, "c1b6", "00108000", "d71aea2c007168de"),
     ("prange", "symplpn", 16, 0.3, 7, 40, -1, False, 40, None, None, "76d58cb646d1371e"),
-    ("prange", "symplpn", 64, 0.05, 8, 400, None, True, 131, "9ef0059a42f613c9", "40000008010000004000200000000000", "ef623bb4c3442d99"),
-    ("prange", "symplpn", 64, 0.02, 164, 400, None, True, 1, "f68e097216ee0136", "00000000000000000000000000000000", "fda80ea888b7f287"),
-    ("prange", "lsn", 8, 0.2, 50, 400, 2, True, 104, "1601", "2400", "818938e168f6ceaf"),
-    ("prange", "lsn", 8, 0.3, 8, 5, -1, False, 5, None, None, "a63b997319a2d39e"),
-    ("prange", "lsn", 16, 0.2, 2, 400, 2, True, 49, "994a00", "08004000", "29175cb7a695c6a7"),
-    ("prange", "lsn", 64, 0.05, 3, 400, None, True, 145, "b10dafec25cef7d603", "00000000020000110002000002010010", "be83a825cf316e43"),
+    ("prange", "symplpn", 64, 0.05, 8, 400, None, True, 118, "9ef0059a42f613c9", "40002008010000000000000801000000", "2e3e094938a26b22"),
+    ("prange", "symplpn", 64, 0.02, 164, 400, None, True, 1, "f68e097216ee0136", "00000000000000000000000000000000", "a713cce26a32404c"),
+    ("prange", "lsn", 8, 0.2, 50, 400, 2, True, 5, "2c00", "0060", "7477e8f1bd17a8b5"),
+    ("prange", "lsn", 8, 0.3, 8, 5, -1, False, 5, None, None, "72130c7b40a8fcb4"),
+    ("prange", "lsn", 16, 0.2, 2, 400, 2, True, 3, "994a00", "40000800", "36de19b7f91d75e0"),
+    ("prange", "lsn", 64, 0.05, 3, 400, None, True, 145, "b10dafec25cef7d603", "00020000000000110002000002010010", "be83a825cf316e43"),
     ("pair", "lpn", 8, 0.2, 120, 400, 2, True, 17, "d6", "1040", "d8d1693bcdca660e"),
     ("pair", "lpn", 16, 0.15, 116, 400, None, True, 3, "605e", "13903012", "06e7900583ca9540"),
     ("pair", "lpn", 64, 0.05, 4, 400, None, True, 32, "80b18999a39c5131", "00000000008002000000200000088000", "e19d884b98d43536"),
     ("pair", "lpn", 64, 0.05, 4, 40, None, True, 32, "80b18999a39c5131", "00000000008002000000200000088000", "e19d884b98d43536"),
     ("pair", "lpn", 64, 0.0, 3, 100, None, True, 1, "d447351ab6346fb1", "00000000000000000000000000000000", "6cb4f4aa1a0eed20"),
     ("pair", "lpn_wide", 8, 0.0, 9, 40, None, False, 40, None, None, "1577296898c3e0ae"),
-    ("pair", "symplpn", 8, 0.2, 43, 400, 2, True, 24, "9e", "8888", "bfd3c02a201bbecb"),
-    ("pair", "symplpn", 16, 0.2, 3, 400, 2, True, 6, "c1b6", "80100010", "c46003c96f266e23"),
-    ("pair", "symplpn", 16, 0.3, 7, 40, -1, False, 40, None, None, "c008a2419a68fa4a"),
-    ("pair", "symplpn", 64, 0.05, 8, 400, None, True, 10, "9ef0059a42f613c9", "40000008010000004000200000000000", "94200fed7851c72b"),
-    ("pair", "symplpn", 64, 0.02, 164, 400, None, True, 1, "f68e097216ee0136", "00000000000000000000000000000000", "27b0ce9dadf6154d"),
-    ("pair", "lsn", 8, 0.2, 50, 400, 2, True, 22, "1601", "2400", "7030ddbcd895b624"),
-    ("pair", "lsn", 8, 0.3, 8, 5, -1, False, 5, None, None, "be49b79dd9b13068"),
-    ("pair", "lsn", 16, 0.2, 2, 400, 2, True, 19, "994a00", "08004000", "ace7cc7c22726303"),
-    ("pair", "lsn", 64, 0.05, 3, 400, None, True, 105, "b10dafec25cef7d603", "00000000020000110002000002010010", "02b02a715775f4d6"),
+    ("pair", "symplpn", 8, 0.2, 43, 400, 2, True, 25, "9e", "8888", "bfd3c02a201bbecb"),
+    ("pair", "symplpn", 16, 0.2, 3, 400, 2, True, 9, "c1b6", "00108000", "31a7d5e0bf36619f"),
+    ("pair", "symplpn", 16, 0.3, 7, 40, -1, False, 40, None, None, "09f6f609ebe2c1de"),
+    ("pair", "symplpn", 64, 0.05, 8, 400, None, True, 30, "9ef0059a42f613c9", "40002008010000000000000801000000", "6201797a77da922f"),
+    ("pair", "symplpn", 64, 0.02, 164, 400, None, True, 1, "f68e097216ee0136", "00000000000000000000000000000000", "a750d4cf125f18b4"),
+    ("pair", "lsn", 8, 0.2, 50, 400, 2, True, 1, "4502", "8100", "e4904a698d747d10"),
+    ("pair", "lsn", 8, 0.3, 8, 5, -1, False, 5, None, None, "1e9895a447eb4961"),
+    ("pair", "lsn", 16, 0.2, 2, 400, 2, True, 3, "994a00", "40000800", "b284b751ee898824"),
+    ("pair", "lsn", 64, 0.05, 3, 400, None, True, 106, "b10dafec25cef7d603", "00020000000000110002000002010010", "02b02a715775f4d6"),
 ]
 
 

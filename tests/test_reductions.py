@@ -451,7 +451,9 @@ def _dual_mode_digest(n, seeds):
 
 
 @pytest.mark.parametrize(
-    "n, digest", [(3, "6263bff5ec083c9f"), (4, "7288d39833fca8b9"), (8, "e749d9aa9a28098c")]
+    "n, digest",
+    [(3, "a34c719585e96749"), (4, "251b62b517d8b194"), (8, "74cab1b5d476b78a")],
+    ids=["n3", "n4", "n8"],
 )
 def test_dual_mode_golden_stream(n, digest):
     assert _dual_mode_digest(n, 12) == digest
@@ -459,7 +461,7 @@ def test_dual_mode_golden_stream(n, digest):
 
 def test_dual_mode_golden_stream_packed():
     # 2n = 192 runs on the word-packed dual: one structured and one uniform word
-    assert _dual_mode_digest(96, 2) == "4df7be712e3b13d3"
+    assert _dual_mode_digest(96, 2) == "f4ecf9586047405a"
 
 
 def test_dual_mode_rejects_wrong_shape():

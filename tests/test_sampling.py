@@ -2,7 +2,9 @@
 import copy
 import hashlib
 import json
+import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from slpn.gf2 import BitMat, BitVec, _IntDual, _PackedDual, is_isotropic, rank, solve, symp_inner
+from slpn.pke import PublicKey, enc_traced
 from slpn.sampling import (
     HyperplaneRotation,
     Instance,
     Rng,
+    draw_depolarizing,
     gen_lpn,
     gen_lsn,
     gen_symplpn,
@@ -274,7 +278,7 @@ def _instance_digest(inst: Instance) -> str:
 
 
 def test_depolarizing_golden_stream():
-    assert _digest(sample_depolarizing(Rng(42), 64, 0.1).to_hex()) == "ce600f8b17ac826b"
+    assert _digest(sample_depolarizing(Rng(42), 64, 0.1).to_hex()) == "3eae60d3d12a2efc"
 
 
 @pytest.mark.parametrize(
@@ -282,11 +286,11 @@ def test_depolarizing_golden_stream():
     [
         (lambda: gen_lpn(Rng(42), 32, 64, 0.1, structured=True, keep_witness=True), "2a772af69219f00f"),
         (lambda: gen_lpn(Rng(43), 32, 64, 0.1, structured=False, keep_witness=True), "8f7c725409a7778f"),
-        (lambda: gen_symplpn(Rng(42), 32, 64, 0.1, structured=True, keep_witness=True), "03419a9486a9f937"),
+        (lambda: gen_symplpn(Rng(42), 32, 64, 0.1, structured=True, keep_witness=True), "d155c1f4a7f4fdd1"),
         (lambda: gen_symplpn(Rng(43), 32, 64, 0.1, structured=False, keep_witness=True), "9682adb7a6c41cee"),
-        (lambda: gen_lsn(Rng(42), 8, 32, 0.1, keep_witness=True), "ed2d03b391b74fd8"),
+        (lambda: gen_lsn(Rng(42), 8, 32, 0.1, keep_witness=True), "833f19597e466512"),
         # 2n = 192: the b-dual is word-packed and the joint rank spans 192 bits
-        (lambda: gen_lsn(Rng(42), 8, 96, 0.1, keep_witness=True), "0bcbd8100832aa5f"),
+        (lambda: gen_lsn(Rng(42), 8, 96, 0.1, keep_witness=True), "de08d2781bf7f6f4"),
     ],
     ids=["lpn", "lpn-uniform", "symplpn", "symplpn-uniform", "lsn", "lsn-packed"],
 )
@@ -297,13 +301,21 @@ def test_gen_golden_stream(make, digest):
 # -- depolarizing noise -------------------------------------------------------
 
 
+def _grid_thresholds(p) -> tuple[int, int, int]:
+    """k T for k = 1, 2, 3, with T = ceil(p 2^53 / 3) from p's exact ratio:
+    a uniform m 2^-53 takes pattern k when (k - 1) T <= m < k T."""
+    num, den = p.as_integer_ratio()
+    t = -(-(num << 53) // (3 * den))
+    return t, 2 * t, 3 * t
+
+
 def _reference_depolarizing(rng: Rng, n: int, p: float) -> BitVec:
-    """The first packing of ``sample_depolarizing``: a 2n-byte bit array
-    through the public constructor, on the same two draws."""
-    gen = rng.numpy()
-    noisy = gen.random(n) < p
-    patterns = gen.integers(1, 4, size=n)
-    patterns = np.where(noisy, patterns, 0)
+    """Depolarizing noise from one uniform per pair, compared as an integer
+    grid point against ``_grid_thresholds``, built as a 2n-byte bit array
+    through the public constructor."""
+    m = (rng.numpy().random(n) * 2.0**53).astype(np.int64)
+    t1, t2, t3 = _grid_thresholds(p)
+    patterns = np.where(m < t1, 1, np.where(m < t2, 2, np.where(m < t3, 3, 0)))
     lo = (patterns & 1).astype(np.uint8)
     hi = (patterns >> 1).astype(np.uint8)
     return BitVec.from_numpy(np.concatenate([lo, hi]))
@@ -329,6 +341,71 @@ def test_noise_packing_matches_the_byte_array_reference(sample, reference, n):
             for _ in range(3):
                 assert sample(rng, n, p) == reference(ref, n, p)
             assert _state(rng) == _state(ref)
+
+
+def test_generator_random_is_the_top_53_bits_of_the_next_word():
+    # the exact depolarizing law rests on this: random() is (next_uint64 >> 11)
+    # 2^-53, also after small draws that leave half a word buffered
+    for seed in range(4):
+        rng, twin = Rng(seed), Rng(seed)
+        for count in (0, 1, 5, 64, 3, 512):
+            rng.bits(count % 33)
+            twin.bits(count % 33)
+            raw = twin.numpy().bit_generator.random_raw(count)
+            assert rng.numpy().random(count).tolist() == ((raw >> 11) * 2.0**-53).tolist()
+            assert _state(rng) == _state(twin)
+
+
+class _ScriptedRng:
+    """Stands in for an Rng whose next uniforms are given."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms, dtype=np.float64)
+
+    def numpy(self):
+        return self
+
+    def random(self, n):
+        assert n == len(self.uniforms)
+        return self.uniforms
+
+
+@pytest.mark.parametrize("p", [0, 1e-9, 0.03, 0.3, 0.75, 1])
+def test_depolarizing_law_at_each_threshold(p):
+    # grid points m at each threshold k T and one step below it, fed to both
+    # callers: pattern k on [(k - 1) T, k T), quiet from 3 T on. Each caller
+    # sets bits (j, n + j) to (1,0), (0,1), (1,1) or (0,0); 40 copies of the
+    # points reach the packed path of sample_depolarizing too
+    t1, t2, t3 = _grid_thresholds(p)
+    points = sorted({m for k in (t1, t2, t3) for m in (k - 1, k) if 0 <= m < 2**53} | {2**53 - 1})
+    want = [1 if m < t1 else 2 if m < t2 else 3 if m < t3 else 0 for m in points]
+    for copies in (1, 40):
+        n = copies * len(points)
+        u = [m * 2.0**-53 for m in points] * copies
+        e = sample_depolarizing(_ScriptedRng(u), n, p)
+        key = PublicKey(n, p, BitMat.zeros(2 * n, 1), BitVec.zeros(2 * n))
+        _, f = enc_traced(_ScriptedRng(u), key, 0)
+        for v in (e, f):
+            assert [v.bit(j) | v.bit(n + j) << 1 for j in range(n)] == want * copies
+
+
+@pytest.mark.parametrize("p", [0, 1e-9, 0.03, 0.1, 0.3, 0.75, 1 - 2**-52, 1 - 2**-53, 1])
+def test_depolarizing_law_is_exact_on_the_grid(p):
+    # the thresholds the sampler uses hold exactly T grid points per pattern,
+    # so P(noisy) = 3 T 2^-53 lies in [p, p + 3 * 2^-53). Only for p = 1 and
+    # p = 1 - 2^-53 is 3 T = 2^53 + 1: there t3 rounds to 1.0, every pair is
+    # noisy, patterns 1 and 2 have probability T 2^-53 = (2^53 + 1) / 3 2^-53
+    # each and pattern 3 has (T - 1) 2^-53 = (2^53 - 2) / 3 2^-53
+    _, *thresholds = draw_depolarizing(Rng(0), 0, p)
+    below = [0] + [math.ceil(Fraction(t) * 2**53) for t in thresholds]  # grid points under t_k
+    held = [hi - lo for lo, hi in zip(below, below[1:])]
+    t = _grid_thresholds(p)[0]
+    if 3 * t > 2**53:
+        assert p >= 1 - 2**-53 and t == (2**53 + 1) // 3
+        assert thresholds[2] == 1.0 and held == [t, t, t - 1] and sum(held) == 2**53
+    else:
+        assert held == [t, t, t]
+        assert p <= Fraction(3 * t, 2**53) < Fraction(p) + Fraction(3, 2**53)
 
 
 def test_depolarizing_zero_noise():

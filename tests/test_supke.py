@@ -371,6 +371,15 @@ def test_su_enc_expands_seed_once(monkeypatch):
     assert pk.to_json() == again.to_json()
 
 
+def test_su_enc_refuses_a_message_before_expanding_the_seed():
+    fresh, _ = su_gen(Rng(15), 16, 0.05)
+    rng = Rng(779)
+    with pytest.raises(ValueError, match="message must be a single bit"):
+        su_enc(rng, fresh, 2)
+    assert "_plain_key" not in vars(fresh)
+    assert rng.bits(64) == Rng(779).bits(64)  # no draw either
+
+
 def test_su_dec_identity():
     rng = Rng(13)
     for _ in range(25):
