@@ -10,8 +10,8 @@ Encryption costs one numpy draw plus one small-int step per noisy pair:
 each pair's pattern from its one uniform, setting f's bits and XORing the
 rows of a they select into u, with no 2n-bit f built first and then
 scanned by ``symp_vec_mat``. On a 2-core x86 host one ``enc`` at the 0.75
-operating point took about 10 us at n=128 and 17 us at n=512, against 18
-and 27 us with a second draw for the patterns.
+operating point took about 10 us at n=128 and 17 us at n=512, against 16
+and 26 us with a second draw for the patterns.
 """
 from __future__ import annotations
 

@@ -170,8 +170,9 @@ def draw_depolarizing(rng: Rng, n: int, p: float) -> tuple[np.ndarray, float, fl
     non-zero pattern holds exactly T of the 2^53 grid points and
     P(noisy) = 3 T 2^-53 lies in [p, p + 3 * 2^-53). The one exception is
     3T > 2^53, which happens only at p = 1 and p = 1 - 2^-53: there
-    T = (2^53 + 1) / 3, t3 rounds to 1.0, every pair is noisy and pattern 3
-    holds T - 1 points.
+    T = (2^53 + 1) / 3 and t3 rounds to 1.0, so every pair is noisy,
+    patterns 1 and 2 each have probability T 2^-53 and pattern 3 has
+    (T - 1) 2^-53.
 
     ``sample_depolarizing`` packs this into a 2n-bit vector, and
     ``pke.enc_traced`` walks the noisy pairs straight from it. The numpy
